@@ -39,7 +39,7 @@ from repro.obs.tracer import current as _obs
 from repro.isa.instructions import IClass
 from repro.isa.workload import Loop
 from repro.soc.system import System
-from repro.units import bits_per_second, us_to_ns
+from repro.units import bits_per_second, ns_to_us, us_to_ns
 
 
 @dataclass(frozen=True)
@@ -425,7 +425,7 @@ class CovertChannel(abc.ABC):
         if missing:
             raise ProtocolError(
                 f"receiver produced no measurement for slots {missing}; "
-                f"slot length {self.config.slot_us} us may be too short"
+                f"slot length {ns_to_us(schedule.slot_ns):.2f} us may be too short"
             )
         return [float(m) for m in measurements]
 

@@ -17,6 +17,10 @@ zero, matching the measured distribution.
 
 The *improved throttling* mitigation of Section 7 is modelled by gating
 only the offending thread's uops instead of the whole interface.
+
+:meth:`CorePipeline.run` steps every cycle in one loop over local
+integers (nothing it reads can change during a call) and commits the PMC
+totals to the counter banks when the loop ends.
 """
 
 from __future__ import annotations
@@ -93,7 +97,10 @@ class ThreadState:
 
 
 class CorePipeline:
-    """One core's IDQ-to-back-end interface, stepped cycle by cycle.
+    """One core's IDQ-to-back-end interface.
+
+    Each :meth:`run` steps its cycles in one loop and commits the
+    counters at the end, so PMCs are read between ``run()`` calls.
 
     Usage::
 
@@ -148,79 +155,73 @@ class CorePipeline:
         """Advance the front-end by ``cycles`` core clock cycles."""
         if cycles < 0:
             raise ConfigError(f"cycles must be >= 0, got {cycles}")
-        for _ in range(cycles):
-            self._step()
-
-    def _gate_blocks(self, tid: int) -> bool:
-        """Whether the throttle gate blocks delivery to ``tid`` this cycle."""
-        if not self._throttled:
-            return False
-        if self._throttled_tids is not None and tid not in self._throttled_tids:
-            return False
-        return (self._cycle % self.config.throttle_window) >= self.config.throttle_open_cycles
-
-    def _step(self) -> None:
+        start = self._cycle
+        self._cycle = start + cycles
         active = [t for t in self._threads.values() if t.active]
-        if active:
-            self.core_counters.add(PMC.CPU_CLK_UNHALTED, 1)
-            if self._throttled:
-                self.core_counters.add(PMC.THROTTLE_CYCLES, 1)
-        for thread in active:
-            thread.counters.add(PMC.CPU_CLK_UNHALTED, 1)
-
-        if not active:
-            self._cycle += 1
+        if not active or cycles == 0:
             return
 
-        owner = self._pick_owner(active)
-        width = self.config.delivery_width
+        config = self.config
+        width = config.delivery_width
+        block = config.block_instructions
+        window = config.throttle_window
+        open_cycles = config.throttle_open_cycles
+        tids = self._throttled_tids
+        # gated[i]: whether the throttle gate applies to active[i] at all;
+        # it then blocks the cycles past the window's open slots.
+        gated = [self._throttled and (tids is None or t.tid in tids)
+                 for t in active]
+        any_gated = any(gated)
+        # With two active threads the list index is the tid, so the
+        # round-robin cursor indexes ``active`` directly.
+        shared = len(active) > 1
+        rr = self._rr_next
+        progress = [t._block_progress for t in active]
+        delivered = [0] * len(active)
+        undelivered = [0] * len(active)
 
-        if self._gate_blocks(owner.tid):
-            # Delivery blocked by the throttle gate while the back-end is
-            # not stalled: every slot counts as not delivered.
-            self._charge_undelivered(owner, width)
-        else:
-            delivered = self._deliver(owner, width)
-            if delivered < width:
-                self._charge_undelivered(owner, width - delivered)
-        self._cycle += 1
+        for cycle in range(start, start + cycles):
+            blocked = any_gated and cycle % window >= open_cycles
+            owner = 0
+            if shared:
+                # Round-robin from the cursor, skipping a gated owner in
+                # favour of a runnable sibling when there is one.
+                owner = rr
+                if blocked and gated[owner] and not gated[1 - owner]:
+                    owner = 1 - owner
+                rr = 1 - owner
+            if blocked and gated[owner]:
+                # Delivery blocked by the throttle gate while the back-end
+                # is not stalled: every slot counts as not delivered.
+                undelivered[owner] += width
+            elif progress[owner] >= block:
+                # Loop-edge steer bubble: one empty delivery cycle per block.
+                progress[owner] = 0
+                undelivered[owner] += width
+            else:
+                deliverable = block - progress[owner]
+                if deliverable >= width:
+                    deliverable = width
+                else:
+                    undelivered[owner] += width - deliverable
+                progress[owner] += deliverable
+                delivered[owner] += deliverable
 
-    def _pick_owner(self, active: list) -> ThreadState:
-        """Round-robin the delivery cycle among active threads."""
-        if len(active) == 1:
-            return active[0]
-        # With the whole-core gate, ownership still alternates; the gate
-        # decision is identical for both threads so the choice is moot.
-        # With per-thread gating it matters: a gated thread's cycle is a
-        # wasted slot for it, not for its sibling, so skip gated owners
-        # in favour of runnable ones when possible.
-        order = sorted(active, key=lambda t: (t.tid < self._rr_next, t.tid))
-        for candidate in order:
-            if not self._gate_blocks(candidate.tid):
-                self._rr_next = (candidate.tid + 1) % self.config.smt_threads
-                return candidate
-        chosen = order[0]
-        self._rr_next = (chosen.tid + 1) % self.config.smt_threads
-        return chosen
-
-    def _deliver(self, thread: ThreadState, width: int) -> int:
-        """Deliver up to ``width`` uops of the thread's loop; returns count."""
-        block = self.config.block_instructions
-        if thread._block_progress >= block:
-            # Loop-edge steer bubble: one empty delivery cycle per block.
-            thread._block_progress = 0
-            return 0
-        deliverable = min(width, block - thread._block_progress)
-        thread._block_progress += deliverable
-        thread.counters.add(PMC.UOPS_DELIVERED, deliverable)
-        thread.counters.add(PMC.INSTRUCTIONS_RETIRED, deliverable)
-        self.core_counters.add(PMC.UOPS_DELIVERED, deliverable)
-        self.core_counters.add(PMC.INSTRUCTIONS_RETIRED, deliverable)
-        return deliverable
-
-    def _charge_undelivered(self, owner: ThreadState, slots: int) -> None:
-        owner.counters.add(PMC.IDQ_UOPS_NOT_DELIVERED, slots)
-        self.core_counters.add(PMC.IDQ_UOPS_NOT_DELIVERED, slots)
+        self._rr_next = rr
+        core = self.core_counters
+        core.add(PMC.CPU_CLK_UNHALTED, cycles)
+        if self._throttled:
+            core.add(PMC.THROTTLE_CYCLES, cycles)
+        for i, thread in enumerate(active):
+            thread._block_progress = progress[i]
+            bank = thread.counters
+            bank.add(PMC.CPU_CLK_UNHALTED, cycles)
+            bank.add(PMC.UOPS_DELIVERED, delivered[i])
+            bank.add(PMC.INSTRUCTIONS_RETIRED, delivered[i])
+            bank.add(PMC.IDQ_UOPS_NOT_DELIVERED, undelivered[i])
+        core.add(PMC.UOPS_DELIVERED, sum(delivered))
+        core.add(PMC.INSTRUCTIONS_RETIRED, sum(delivered))
+        core.add(PMC.IDQ_UOPS_NOT_DELIVERED, sum(undelivered))
 
     # -- derived measurements ----------------------------------------------
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import System
+from repro.errors import ProtocolError
 from repro.core import ChannelConfig, IccCoresCovert, IccSMTcovert, IccThreadCovert
 from repro.soc.config import (
     cannon_lake_i3_8121u,
@@ -100,6 +101,20 @@ class TestSlotSizing:
         slow_slot = IccThreadCovert(System(slow)).slot_ns
         fast_slot = IccThreadCovert(System(fast)).slot_ns
         assert slow_slot > fast_slot
+
+    @pytest.mark.parametrize("jitter_us, slot_us", [(0.0, 795.47), (40.0, 835.47)])
+    def test_missing_measurement_reports_the_slot_actually_used(
+            self, monkeypatch, jitter_us, slot_us):
+        # The adaptive slot (plus any jitter) outgrows the configured
+        # 750 us; the error must name the slot the schedule ran.
+        channel = IccSMTcovert(System(cannon_lake_i3_8121u()),
+                               ChannelConfig(slot_jitter_us=jitter_us))
+        assert channel.config.slot_us == 750.0
+        monkeypatch.setattr(channel, "_spawn_transaction_programs",
+                            lambda *args: None)
+        with pytest.raises(ProtocolError,
+                           match=rf"slot length {slot_us:.2f} us may be too short"):
+            channel.run_symbols([0, 3])
 
     def test_slow_slew_channel_still_works_end_to_end(self):
         # The whole point of adaptive sizing: no retuning needed.

@@ -1,6 +1,7 @@
 """Cycle-level pipeline model, PMCs and the TSC."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigError, MeasurementError
 from repro.isa import IClass
@@ -9,6 +10,7 @@ from repro.microarch import (
     CounterBank,
     PMC,
     PipelineConfig,
+    ThreadState,
     TimestampCounter,
     normalized_undelivered,
 )
@@ -166,6 +168,166 @@ class TestSMT:
         pipe = CorePipeline()
         with pytest.raises(ConfigError):
             pipe.run(-1)
+
+
+class StepOracle:
+    """Reference front-end that applies the model's rules one cycle at a time.
+
+    Each rule (gate window, owner pick, delivery, undelivered charge) is
+    its own method and every counter is bumped per cycle, so
+    :meth:`CorePipeline.run` is checked against an implementation that
+    shares none of its loop.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self._threads = {tid: ThreadState(tid) for tid in range(config.smt_threads)}
+        self.core_counters = CounterBank()
+        self._cycle = 0
+        self._throttled = False
+        self._throttled_tids = None
+        self._rr_next = 0
+
+    def set_thread(self, tid, iclass):
+        self._threads[tid].iclass = iclass
+
+    def set_throttle(self, active, only_threads=None):
+        self._throttled = active
+        self._throttled_tids = set(only_threads) if only_threads is not None else None
+
+    def run(self, cycles):
+        for _ in range(cycles):
+            self._step()
+
+    def _gate_blocks(self, tid):
+        if not self._throttled:
+            return False
+        if self._throttled_tids is not None and tid not in self._throttled_tids:
+            return False
+        return (self._cycle % self.config.throttle_window) >= self.config.throttle_open_cycles
+
+    def _step(self):
+        active = [t for t in self._threads.values() if t.active]
+        if active:
+            self.core_counters.add(PMC.CPU_CLK_UNHALTED, 1)
+            if self._throttled:
+                self.core_counters.add(PMC.THROTTLE_CYCLES, 1)
+        for thread in active:
+            thread.counters.add(PMC.CPU_CLK_UNHALTED, 1)
+        if not active:
+            self._cycle += 1
+            return
+        owner = self._pick_owner(active)
+        width = self.config.delivery_width
+        if self._gate_blocks(owner.tid):
+            self._charge_undelivered(owner, width)
+        else:
+            delivered = self._deliver(owner, width)
+            if delivered < width:
+                self._charge_undelivered(owner, width - delivered)
+        self._cycle += 1
+
+    def _pick_owner(self, active):
+        if len(active) == 1:
+            return active[0]
+        order = sorted(active, key=lambda t: (t.tid < self._rr_next, t.tid))
+        for candidate in order:
+            if not self._gate_blocks(candidate.tid):
+                self._rr_next = (candidate.tid + 1) % self.config.smt_threads
+                return candidate
+        chosen = order[0]
+        self._rr_next = (chosen.tid + 1) % self.config.smt_threads
+        return chosen
+
+    def _deliver(self, thread, width):
+        block = self.config.block_instructions
+        if thread._block_progress >= block:
+            thread._block_progress = 0
+            return 0
+        deliverable = min(width, block - thread._block_progress)
+        thread._block_progress += deliverable
+        thread.counters.add(PMC.UOPS_DELIVERED, deliverable)
+        thread.counters.add(PMC.INSTRUCTIONS_RETIRED, deliverable)
+        self.core_counters.add(PMC.UOPS_DELIVERED, deliverable)
+        self.core_counters.add(PMC.INSTRUCTIONS_RETIRED, deliverable)
+        return deliverable
+
+    def _charge_undelivered(self, owner, slots):
+        owner.counters.add(PMC.IDQ_UOPS_NOT_DELIVERED, slots)
+        self.core_counters.add(PMC.IDQ_UOPS_NOT_DELIVERED, slots)
+
+
+def _pipeline_state(pipe, tids):
+    return (
+        pipe._cycle,
+        pipe._rr_next,
+        pipe.core_counters.snapshot(),
+        [(pipe._threads[tid].counters.snapshot(), pipe._threads[tid]._block_progress)
+         for tid in tids],
+    )
+
+
+@st.composite
+def _pipeline_scenarios(draw):
+    """A config plus a random set_thread / set_throttle / run sequence."""
+    smt = draw(st.sampled_from([1, 2]))
+    config = PipelineConfig(
+        delivery_width=draw(st.sampled_from([1, 3, 4])),
+        throttle_window=draw(st.sampled_from([4, 5])),
+        throttle_open_cycles=draw(st.sampled_from([1, 2])),
+        smt_threads=smt,
+        block_instructions=draw(st.sampled_from([2, 7, 300])),
+    )
+    tids = st.integers(0, smt - 1)
+    only = st.sampled_from([None, {0}, {1}] if smt == 2 else [None, {0}])
+    op = st.one_of(
+        st.tuples(st.just("thread"), tids,
+                  st.sampled_from([None, IClass.HEAVY_256, IClass.SCALAR_64])),
+        st.tuples(st.just("throttle"), st.booleans(), only),
+        st.tuples(st.just("run"), st.one_of(st.integers(0, 12), st.integers(0, 700))),
+    )
+    return config, draw(st.lists(op, min_size=1, max_size=16))
+
+
+class TestRunMatchesPerCycleOracle:
+    @settings(max_examples=200, deadline=None)
+    @example(scenario=(PipelineConfig(block_instructions=7, throttle_window=5,
+                                      throttle_open_cycles=2),
+                       [("thread", 0, IClass.HEAVY_256),
+                        ("throttle", True, {1}), ("run", 0), ("run", 40),
+                        ("thread", 1, IClass.SCALAR_64), ("run", 41),
+                        ("throttle", True, {0}), ("run", 43),
+                        ("thread", 0, None), ("run", 9)]))
+    @example(scenario=(PipelineConfig(delivery_width=3),
+                       [("thread", 0, IClass.HEAVY_256),
+                        ("thread", 1, IClass.HEAVY_256),
+                        ("throttle", True, None), ("run", 1), ("run", 1),
+                        ("run", 650), ("throttle", False, None), ("run", 1)]))
+    @example(scenario=(PipelineConfig(smt_threads=1, block_instructions=2),
+                       [("run", 5), ("thread", 0, IClass.HEAVY_256),
+                        ("throttle", True, {0}), ("run", 17)]))
+    @given(scenario=_pipeline_scenarios())
+    def test_counters_and_cursors_match_after_every_step(self, scenario):
+        config, ops = scenario
+        pipe, oracle = CorePipeline(config), StepOracle(config)
+        tids = range(config.smt_threads)
+        for op, *args in ops:
+            for model in (pipe, oracle):
+                if op == "thread":
+                    model.set_thread(*args)
+                elif op == "throttle":
+                    model.set_throttle(*args)
+                else:
+                    model.run(*args)
+            assert _pipeline_state(pipe, tids) == _pipeline_state(oracle, tids)
+
+    def test_fig11_sums_pinned(self):
+        # Exact float sums of the per-iteration fractions; any change to
+        # a counter moves them.
+        from repro.analysis.experiments import fig11_idq_signature
+        result = fig11_idq_signature(iterations=200)
+        assert sum(result.throttled) == 150.65562913907283
+        assert sum(result.unthrottled) == 2.629139072847689
 
 
 class TestArrayHelpers:
