@@ -16,10 +16,9 @@ text/JSON/SARIF reporters:
   unordered-set iteration);
 * :mod:`repro.staticcheck.passes.poolsafety` — process-pool safety
   (unpicklable callables, worker-side global mutation);
-* :mod:`repro.staticcheck.passes.asyncsafety` — event-loop safety in
-  the service layer (blocking calls in coroutines, unawaited
-  coroutines, dropped task handles, resources held across awaits,
-  shared-state mutation);
+* :mod:`repro.staticcheck.passes.kernelsafety` — batch-kernel hot
+  paths (per-item callbacks, order-dependent float accumulation,
+  object arrays);
 * :mod:`repro.staticcheck.passes.goldenflow` — mapping-layer golden
   contracts (round-trip completeness, digest-stable emission,
   SystemOptions forwarding coverage);
@@ -27,10 +26,8 @@ text/JSON/SARIF reporters:
   equality on physics, mutable defaults, hints/docstrings).
 
 Run it with ``python -m repro.staticcheck [paths] [--format text|json|
-sarif] [--rule ID] [--baseline FILE]``.  ``--cache-dir``/``--jobs``/
-``--changed`` enable the incremental parallel engine (per-module
-findings cached on source hash, pass version and project digest).  The
-legacy ``repro.verify.lint`` module is a thin shim over this package.
+sarif] [--rule ID] [--baseline FILE]``.  Each module is parsed once
+and every selected pass runs over it in one serial loop.
 """
 
 from repro.staticcheck.baseline import (  # noqa: F401
@@ -39,16 +36,10 @@ from repro.staticcheck.baseline import (  # noqa: F401
     refresh_command,
     save_baseline,
 )
-from repro.staticcheck.cache import (  # noqa: F401
-    AnalysisCache,
-    default_cache_root,
-    source_hash,
-)
 from repro.staticcheck.context import (  # noqa: F401
     FunctionSig,
     ModuleContext,
     ProjectContext,
-    module_facts,
 )
 from repro.staticcheck.dataflow import (  # noqa: F401
     UnitTag,
@@ -56,7 +47,6 @@ from repro.staticcheck.dataflow import (  # noqa: F401
     tag_of_identifier,
 )
 from repro.staticcheck.model import (  # noqa: F401
-    CacheUsage,
     Finding,
     PassTiming,
     Report,
@@ -70,7 +60,6 @@ from repro.staticcheck.registry import (  # noqa: F401
     all_rules,
     expand_selection,
     get_pass,
-    pass_version,
     register,
     rule_ids,
     rule_owners,
@@ -88,14 +77,12 @@ from repro.staticcheck.waivers import (  # noqa: F401
 )
 
 __all__ = [
-    "AnalysisCache", "CacheUsage", "Finding", "FunctionSig",
-    "ModuleContext", "Pass", "PassTiming", "ProjectContext", "Report",
-    "Rule", "Severity", "UnitTag", "Waiver",
+    "Finding", "FunctionSig", "ModuleContext", "Pass", "PassTiming",
+    "ProjectContext", "Report", "Rule", "Severity", "UnitTag", "Waiver",
     "all_passes", "all_rules", "analyze_paths", "analyze_source",
-    "default_cache_root", "default_root", "default_waivers_path",
-    "describe_stale_entry", "expand_selection", "get_pass",
-    "load_baseline", "load_waivers", "module_facts", "parse_waivers",
-    "pass_version", "refresh_command", "register", "render",
+    "default_root", "default_waivers_path", "describe_stale_entry",
+    "expand_selection", "get_pass", "load_baseline", "load_waivers",
+    "parse_waivers", "refresh_command", "register", "render",
     "rule_ids", "rule_owners", "save_baseline", "scan_function",
-    "source_hash", "tag_of_identifier", "to_json", "to_sarif",
+    "tag_of_identifier", "to_json", "to_sarif",
 ]

@@ -3,32 +3,23 @@
 A :class:`ModuleContext` wraps one parsed source file (path, text, AST)
 with the helpers passes keep reaching for.  A :class:`ProjectContext`
 holds what a single module cannot know: the *signature table* mapping
-function names to their parameter names and inferred unit tags, the
-async/sync callable name sets the asyncsafety pass resolves bare calls
-against, and the dataclass field table the goldenflow pass checks
-mapping round-trips with — all built in a pre-scan over every module of
-the run.
+function names to their parameter names and inferred unit tags, and
+the dataclass field table the goldenflow pass checks mapping
+round-trips with — both built in a pre-scan over every module of the
+run.
 
 Name collisions are handled conservatively: two functions sharing a name
 with different parameter lists make that name *ambiguous* and call sites
 through it are skipped rather than guessed at; two dataclasses sharing a
 name with different field tuples drop out of the field table the same
 way.
-
-The pre-scan of one module reduces to a JSON-friendly *facts* dict
-(:func:`module_facts`), so the incremental engine can cache facts per
-source hash and rebuild the :class:`ProjectContext` — including its
-deterministic :meth:`~ProjectContext.digest` used in finding cache
-keys — without re-parsing unchanged modules.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.staticcheck.dataflow import (
@@ -36,9 +27,6 @@ from repro.staticcheck.dataflow import (
     return_tag_of,
     tag_of_identifier,
 )
-
-#: Version of the facts-dict layout; bump to invalidate cached facts.
-FACTS_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -139,21 +127,6 @@ class ModuleContext:
         return names
 
 
-def _tag_to_str(tag: Optional[UnitTag]) -> Optional[str]:
-    """Serialise a unit tag as ``group`` / ``group:scale`` / None."""
-    if tag is None:
-        return None
-    return tag.group if tag.scale is None else f"{tag.group}:{tag.scale}"
-
-
-def _tag_from_str(text: Optional[str]) -> Optional[UnitTag]:
-    """Inverse of :func:`_tag_to_str`."""
-    if text is None:
-        return None
-    group, _, scale = text.partition(":")
-    return UnitTag(group, scale or None)
-
-
 def _is_dataclass_def(node: ast.ClassDef) -> bool:
     """Whether a class def carries a ``@dataclass`` decorator."""
     for deco in node.decorator_list:
@@ -178,80 +151,28 @@ def _dataclass_field_names(node: ast.ClassDef) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def module_facts(module: ModuleContext) -> Dict[str, Any]:
-    """The JSON-friendly cross-module facts one module contributes.
-
-    Facts are everything :class:`ProjectContext` needs from a module:
-    its callable signatures (with unit tags), which callable names are
-    defined ``async def`` vs plain ``def``, and its dataclass field
-    tables.  Because the dict is pure JSON, the incremental engine can
-    persist it keyed on the module's source hash and skip re-parsing
-    unchanged modules entirely.
-    """
-    signatures: List[List[Any]] = []
-    async_names: Set[str] = set()
-    sync_names: Set[str] = set()
-    dataclasses: Dict[str, List[str]] = {}
-    for node in ast.walk(module.tree):
-        sig = _sig_of(node)
-        if sig is not None:
-            signatures.append([
-                sig.name, list(sig.params),
-                [_tag_to_str(tag) for tag in sig.param_tags],
-                _tag_to_str(sig.return_tag),
-            ])
-            if isinstance(node, ast.AsyncFunctionDef):
-                async_names.add(sig.name)
-            else:
-                sync_names.add(sig.name)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass_def(node):
-            dataclasses[node.name] = list(_dataclass_field_names(node))
-    return {
-        "version": FACTS_VERSION,
-        "signatures": signatures,
-        "async_names": sorted(async_names),
-        "sync_names": sorted(sync_names),
-        "dataclasses": dataclasses,
-    }
-
-
 class ProjectContext:
     """Cross-module knowledge shared by every pass of one run."""
 
     def __init__(self) -> None:
         self._signatures: Dict[str, FunctionSig] = {}
         self._ambiguous: Set[str] = set()
-        #: Callable names defined ``async def`` somewhere in the run.
-        self.async_names: Set[str] = set()
-        #: Callable names defined as plain ``def`` somewhere in the run.
-        self.sync_names: Set[str] = set()
         self._dataclass_fields: Dict[str, Tuple[str, ...]] = {}
         self._ambiguous_dataclasses: Set[str] = set()
-        self._digest: Optional[str] = None
 
     @classmethod
     def build(cls, modules: Iterable[ModuleContext]) -> "ProjectContext":
         """Pre-scan ``modules`` into the cross-module tables."""
-        return cls.from_facts(module_facts(m) for m in modules)
-
-    @classmethod
-    def from_facts(cls, facts: Iterable[Dict[str, Any]]) -> "ProjectContext":
-        """Merge per-module facts dicts (see :func:`module_facts`)."""
         project = cls()
-        canonical: List[Dict[str, Any]] = []
-        for entry in facts:
-            canonical.append(entry)
-            for name, params, tags, return_tag in entry["signatures"]:
-                project.add_signature(FunctionSig(
-                    name, tuple(params),
-                    tuple(_tag_from_str(t) for t in tags),
-                    _tag_from_str(return_tag)))
-            project.async_names.update(entry["async_names"])
-            project.sync_names.update(entry["sync_names"])
-            for cls_name, fields_list in entry["dataclasses"].items():
-                project.add_dataclass(cls_name, tuple(fields_list))
-        payload = json.dumps(canonical, sort_keys=True, ensure_ascii=True)
-        project._digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        for module in modules:
+            for node in ast.walk(module.tree):
+                sig = _sig_of(node)
+                if sig is not None:
+                    project.add_signature(sig)
+                elif (isinstance(node, ast.ClassDef)
+                        and _is_dataclass_def(node)):
+                    project.add_dataclass(
+                        node.name, _dataclass_field_names(node))
         return project
 
     def add_signature(self, sig: FunctionSig) -> None:
@@ -269,11 +190,6 @@ class ProjectContext:
         """The unambiguous signature registered under ``name``, if any."""
         return self._signatures.get(name)
 
-    @property
-    def signature_count(self) -> int:
-        """How many unambiguous callables the table holds."""
-        return len(self._signatures)
-
     def add_dataclass(self, name: str, fields_tuple: Tuple[str, ...]) -> None:
         """Record one dataclass; colliding field sets make it ambiguous."""
         if name in self._ambiguous_dataclasses:
@@ -288,38 +204,3 @@ class ProjectContext:
     def dataclass_fields(self, name: str) -> Optional[Tuple[str, ...]]:
         """Field names of the unambiguous dataclass ``name``, if known."""
         return self._dataclass_fields.get(name)
-
-    def is_async_name(self, name: str) -> bool:
-        """Whether ``name`` is *only* ever defined ``async def``.
-
-        Names defined both ways anywhere in the run are conservatively
-        treated as not-async, so the asyncsafety pass never flags a
-        call that might resolve to a synchronous implementation.
-        """
-        return name in self.async_names and name not in self.sync_names
-
-    def digest(self) -> str:
-        """Deterministic content hash of the cross-module tables.
-
-        Part of every finding-cache key: a module's cached findings are
-        only valid while the project facts every pass may consult are
-        byte-identical.  Built from the canonical facts stream, so
-        body-only edits that leave signatures/field tables unchanged do
-        not invalidate other modules' cached findings.
-        """
-        if self._digest is None:
-            # Built incrementally via add_signature (legacy path): hash
-            # the merged tables instead of the per-module facts stream.
-            payload = json.dumps({
-                "signatures": sorted(
-                    [s.name, list(s.params),
-                     [_tag_to_str(t) for t in s.param_tags],
-                     _tag_to_str(s.return_tag)]
-                    for s in self._signatures.values()),
-                "async": sorted(self.async_names),
-                "sync": sorted(self.sync_names),
-                "dataclasses": {k: list(v) for k, v in
-                                sorted(self._dataclass_fields.items())},
-            }, sort_keys=True)
-            self._digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        return self._digest

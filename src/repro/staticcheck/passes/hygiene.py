@@ -1,7 +1,7 @@
 """API-hygiene pass.
 
-Two rules ported unchanged from the original ``repro.verify.lint``
-(same ids, same messages, so existing waivers keep working):
+Two rules kept with their original ids and messages, so existing
+waivers keep working:
 
 ``float-eq``
     Bare ``==``/``!=`` between physical quantities (voltages, times,

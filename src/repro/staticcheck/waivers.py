@@ -1,10 +1,10 @@
 """Waiver-file parsing and default discovery.
 
 The waiver file records *reviewed, deliberate* exceptions — one
-``rule path-glob [substring]`` line each, ``#`` comments allowed.  It is
-shared with the legacy ``repro.verify.lint`` front end, so the grammar
-and the default location (``tests/lint_waivers.txt``) are unchanged;
-only the set of valid rule ids has grown with the new passes.
+``rule path-glob [substring]`` line each, ``#`` comments allowed.  Its
+default location is ``tests/lint_waivers.txt``, read both by
+``python -m repro.staticcheck`` and by the lint stage of
+``python -m repro.verify``.
 
 Waivers that match nothing are reported by the driver so the file
 cannot rot.

@@ -2,7 +2,7 @@
 
 Default run order (each stage independently skippable)::
 
-    lint          AST lint of src/repro against the determinism rules
+    lint          src/repro against staticcheck's source-level rules
     differential  fast path vs reference equivalence checks
     goldens       canonical scenarios vs committed golden digests
     audit         hash-seed / worker-count / cache-state variations
@@ -23,11 +23,17 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro.staticcheck import analyze_paths
 from repro.verify.audit import audit_all
 from repro.verify.differential import run_all as run_differential
 from repro.verify.goldens import check_all, update_goldens
-from repro.verify.lint import lint_paths, load_waivers
 from repro.verify.scenarios import SCENARIOS, compute_digest, scenario_names
+
+#: The rules the lint stage enforces: seeded RNGs, no wall clock in the
+#: simulator core, no exact float equality on physics, no mutable
+#: defaults.  ``python -m repro.staticcheck`` runs the full rule set.
+LINT_RULES = ("unseeded-rng", "global-rng", "wall-clock", "float-eq",
+              "mutable-default")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,9 +100,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if not args.skip_lint:
         print("== lint ==")
-        waivers = load_waivers(args.waivers) if args.waivers else None
-        report = lint_paths(waivers=waivers)
-        print(report.render())
+        report = analyze_paths(rules=LINT_RULES, waivers_path=args.waivers)
+        lines = [finding.render() for finding in report.findings]
+        lines += [f"warning: unused waiver '{waiver.render()}'"
+                  for waiver in report.unused_waivers]
+        print("\n".join(f"  {line}" for line in lines) if lines
+              else "  lint clean")
         print(f"  ({len(report.waived)} waived)")
         if not report.ok:
             failures.append(f"lint: {len(report.findings)} violation(s)")

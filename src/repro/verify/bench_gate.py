@@ -10,7 +10,10 @@ vectorized sampling and parallel sweep work exist to prevent).
 Speed-ups never fail the gate; they show up in the delta table so a
 suspiciously large one still gets eyeballs.  Benchmarks absent from the
 baseline are reported as ``new`` (not failed) so adding a benchmark
-does not require a lockstep baseline update; refreshing the baseline is
+does not require a lockstep baseline update.  A baseline entry with no
+result in the artifacts is reported as ``missing`` and fails the gate,
+so a gated benchmark cannot silently drop out of the run; retiring one
+means deleting its baseline entry.  Refreshing the baseline is
 explicit::
 
     python -m repro.verify.bench_gate --update-baseline bench-*.json
@@ -98,23 +101,30 @@ def write_baseline(path: Path, medians: Dict[str, float]) -> None:
 
 @dataclass(frozen=True)
 class BenchDelta:
-    """One benchmark's comparison against the baseline."""
+    """One benchmark's comparison against the baseline.
+
+    ``baseline_s`` is None for a benchmark the baseline does not know;
+    ``current_s`` is None for a baselined benchmark the artifacts lack.
+    """
 
     name: str
     baseline_s: Optional[float]
-    current_s: float
+    current_s: Optional[float]
     tolerance: float
 
     @property
     def ratio(self) -> Optional[float]:
-        """current / baseline, or ``None`` for a new benchmark."""
-        if self.baseline_s is None or self.baseline_s <= 0:
+        """current / baseline, or ``None`` when either side is absent."""
+        if (self.baseline_s is None or self.baseline_s <= 0
+                or self.current_s is None):
             return None
         return self.current_s / self.baseline_s
 
     @property
     def status(self) -> str:
-        """``ok`` | ``regression`` | ``new``."""
+        """``ok`` | ``regression`` | ``new`` | ``missing``."""
+        if self.current_s is None:
+            return "missing"
         ratio = self.ratio
         if ratio is None:
             return "new"
@@ -134,16 +144,27 @@ class GateReport:
         return [d for d in self.deltas if d.status == "regression"]
 
     @property
+    def missing(self) -> List[BenchDelta]:
+        """Baselined benchmarks with no result in the artifacts."""
+        return [d for d in self.deltas if d.status == "missing"]
+
+    @property
+    def failures(self) -> List[BenchDelta]:
+        """Every delta that fails the gate: regressions, then missing."""
+        return self.regressions + self.missing
+
+    @property
     def ok(self) -> bool:
-        """True when no benchmark regressed beyond tolerance."""
-        return not self.regressions
+        """True when nothing regressed and no baselined bench is missing."""
+        return not self.failures
 
     def markdown(self) -> str:
         """GitHub-flavoured markdown delta table for the step summary."""
         lines = [
             "### Benchmark gate "
             + ("✅ within tolerance" if self.ok
-               else f"❌ {len(self.regressions)} regression(s)"),
+               else f"❌ {len(self.regressions)} regression(s), "
+                    f"{len(self.missing)} missing"),
             "",
             f"Tolerance: +{self.tolerance:.0%} over committed baseline "
             f"medians.",
@@ -152,22 +173,32 @@ class GateReport:
             "|---|---:|---:|---:|---|",
         ]
         for delta in sorted(self.deltas,
-                            key=lambda d: (d.status != "regression", d.name)):
+                            key=lambda d: (d.status not in
+                                           ("regression", "missing"),
+                                           d.name)):
+            base = ("—" if delta.baseline_s is None
+                    else f"{delta.baseline_s:.6f}")
+            current = ("—" if delta.current_s is None
+                       else f"{delta.current_s:.6f}")
             if delta.ratio is None:
-                base, change = "—", "new"
+                change = delta.status
             else:
-                base = f"{delta.baseline_s:.6f}"
                 change = f"{(delta.ratio - 1.0):+.1%}"
             mark = {"ok": "ok", "new": "new",
-                    "regression": "**REGRESSION**"}[delta.status]
+                    "regression": "**REGRESSION**",
+                    "missing": "**MISSING**"}[delta.status]
             lines.append(f"| `{delta.name}` | {base} | "
-                         f"{delta.current_s:.6f} | {change} | {mark} |")
+                         f"{current} | {change} | {mark} |")
         return "\n".join(lines) + "\n"
 
     def render(self) -> str:
         """Plain-text report for the job log."""
         lines = []
         for delta in self.deltas:
+            if delta.current_s is None:
+                lines.append(f"  {delta.status:<10} {delta.name}  "
+                             f"no result in the artifacts")
+                continue
             ratio = f"{delta.ratio:.3f}x" if delta.ratio is not None else "new"
             lines.append(f"  {delta.status:<10} {delta.name}  "
                          f"median {delta.current_s:.6f}s  ({ratio})")
@@ -176,12 +207,16 @@ class GateReport:
 
 def compare(baseline: Dict[str, float], current: Dict[str, float],
             tolerance: float = DEFAULT_TOLERANCE) -> GateReport:
-    """Compare current medians against the baseline."""
+    """Compare current medians against the baseline.
+
+    Every name on either side gets a delta, so a baselined benchmark
+    absent from ``current`` shows up as ``missing``.
+    """
     report = GateReport(tolerance=tolerance)
-    for name in sorted(current):
+    for name in sorted(set(baseline) | set(current)):
         report.deltas.append(BenchDelta(
             name=name, baseline_s=baseline.get(name),
-            current_s=current[name], tolerance=tolerance))
+            current_s=current.get(name), tolerance=tolerance))
     return report
 
 
@@ -235,7 +270,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(summary_path, "a", encoding="utf-8") as fh:
             fh.write(report.markdown())
     if not report.ok:
-        names = ", ".join(d.name for d in report.regressions)
+        names = ", ".join(f"{d.name} ({d.status})" for d in report.failures)
         print(f"benchmark gate FAILED: {names}", file=sys.stderr)
         return 1
     print(f"benchmark gate passed: {len(report.deltas)} benchmarks within "

@@ -11,11 +11,7 @@ verify run:
   injected — the adaptive state machine must be pay-for-what-you-use,
   never perturbing a healthy channel;
 * every golden scenario is identical under the batch kernel and the
-  scalar reference engine (``REPRO_KERNEL`` off vs auto);
-* routing a sweep through the :mod:`repro.service` queue / worker fleet
-  produces the same canonical document as the inline
-  :class:`~repro.runner.SweepRunner` — and both match the committed
-  golden.
+  scalar reference engine (``REPRO_KERNEL`` off vs auto).
 
 Each check returns a :class:`DiffCheck` with leaf-level mismatch lines,
 rendered by ``python -m repro.verify``.
@@ -189,41 +185,10 @@ def check_kernel_scalar_equivalence(
                      ok=not detail, detail=detail)
 
 
-def check_service_inline_equivalence() -> DiffCheck:
-    """The service path must be bit-identical to the inline runner.
-
-    Computes the ``fig13_slice`` canonical document twice — once with a
-    plain inline :class:`~repro.runner.SweepRunner` and once routed
-    through a :class:`~repro.service.ServiceRunner` (the full queue /
-    worker-fleet / streaming path of :mod:`repro.service`) — and diffs
-    the documents leaf by leaf.  Both digests are then also required to
-    match the committed golden, so "service == inline == golden" is one
-    proven chain, not two assumptions.
-    """
-    from repro.runner import SweepRunner
-    from repro.service import ServiceConfig, ServiceRunner
-    from repro.verify.digest import content_digest
-    from repro.verify.goldens import load_golden
-    from repro.verify.scenarios import compute_document
-
-    inline = compute_document("fig13_slice", runner=SweepRunner())
-    with ServiceRunner(ServiceConfig(workers=2, batch_size=4)) as runner:
-        routed = compute_document("fig13_slice", runner=runner)
-    detail = [f"fig13_slice: {line}"
-              for line in diff_documents(inline, routed)[:10]]
-    golden = load_golden("fig13_slice").get("digest")
-    digest = content_digest(inline)
-    if golden is not None and digest != golden:
-        detail.append(f"fig13_slice digest {digest} != golden {golden}")
-    return DiffCheck(name="service-inline-equivalence",
-                     ok=not detail, detail=detail)
-
-
 def run_all() -> List[DiffCheck]:
     """Every differential check, in reporting order."""
     return [check_sampler_bitwise(), check_adaptive_plain_equivalence(),
-            check_kernel_scalar_equivalence(),
-            check_service_inline_equivalence()]
+            check_kernel_scalar_equivalence()]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

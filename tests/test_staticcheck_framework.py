@@ -1,4 +1,5 @@
-"""Framework mechanics: registry, waivers, baseline, reporters, CLI."""
+"""Framework mechanics: registry, waivers, baseline, reporters, CLI,
+and parsing each module once per run."""
 
 import json
 import textwrap
@@ -19,7 +20,12 @@ from repro.staticcheck import (
 )
 from repro.staticcheck.baseline import apply_baseline, load_baseline
 from repro.staticcheck.__main__ import main
-from repro.staticcheck.registry import passes_for, validate_rules
+from repro.staticcheck.context import ModuleContext
+from repro.staticcheck.registry import (
+    expand_selection,
+    passes_for,
+    validate_rules,
+)
 from repro.staticcheck.reporters import render_text, to_json
 
 BAD_MODULE = textwrap.dedent("""
@@ -38,8 +44,7 @@ class TestRegistry:
     def test_builtin_passes_registered(self):
         names = {p.name for p in all_passes()}
         assert names == {"dimensional", "determinism", "poolsafety",
-                         "hygiene", "kernelsafety", "asyncsafety",
-                         "goldenflow"}
+                         "hygiene", "kernelsafety", "goldenflow"}
 
     def test_every_rule_has_unique_owner(self):
         ids = rule_ids()
@@ -58,6 +63,21 @@ class TestRegistry:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigError, match="unknown rule"):
             validate_rules(["no-such-rule"])
+
+
+class TestSelectionExpansion:
+    def test_pass_name_expands_to_its_rules(self):
+        rules = expand_selection(["determinism"])
+        assert "heap-tiebreak" in rules
+        assert "unseeded-rng" in rules
+
+    def test_mixed_selection_dedupes(self):
+        rules = expand_selection(["determinism", "heap-tiebreak"])
+        assert rules.count("heap-tiebreak") == 1
+
+    def test_unknown_name_lists_both_namespaces(self):
+        with pytest.raises(ConfigError, match="valid passes"):
+            expand_selection(["no-such-thing"])
 
 
 class TestWaiverIntegration:
@@ -265,6 +285,36 @@ class TestCli:
                      "--baseline", str(baseline)]) == 1
         assert "stale baseline entry" in capsys.readouterr().out
 
+    def test_stale_baseline_message_names_rule_path_and_command(
+            self, tmp_path, capsys):
+        src = tmp_path / "bad_mod.py"
+        src.write_text(BAD_MODULE, encoding="utf-8")
+        baseline = tmp_path / "baseline.json"
+        assert main([str(src), "--no-waivers",
+                     "--write-baseline", str(baseline)]) == 0
+        capsys.readouterr()
+        src.write_text('"""Clean now."""\n', encoding="utf-8")
+        assert main([str(src), "--no-waivers",
+                     "--baseline", str(baseline)]) == 1
+        out = capsys.readouterr().out
+        assert "stale baseline entry" in out
+        assert "unit-mix" in out and "bad_mod.py" in out
+        assert f"--write-baseline {baseline}" in out
+
+    def test_json_report_carries_timings(self, tmp_path, capsys):
+        root = tmp_path / "pkg"
+        root.mkdir()
+        (root / "bad_mod.py").write_text(BAD_MODULE, encoding="utf-8")
+        (root / "clean_mod.py").write_text('"""Clean."""\n',
+                                           encoding="utf-8")
+        assert main([str(root), "--no-waivers", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        timings = {t["pass"]: t for t in payload["timings"]}
+        assert set(timings) == {p.name for p in all_passes()}
+        assert all(t["modules"] == 2 for t in timings.values())
+        assert timings["dimensional"]["findings"] >= 1
+        assert timings["determinism"]["findings"] >= 1
+
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
@@ -279,3 +329,23 @@ class TestCli:
         assert main([str(src), "--no-waivers",
                      "--output", str(out_file)]) == 0
         assert "0 finding(s)" in out_file.read_text(encoding="utf-8")
+
+
+class TestParseOnce:
+    def test_full_tree_run_parses_each_module_once(self, monkeypatch):
+        """Every pass shares one parse of each module."""
+        from repro.staticcheck.runner import default_root
+
+        calls = []
+        original = ModuleContext.from_source.__func__
+
+        def counting(cls, source, path):
+            calls.append(path)
+            return original(cls, source, path)
+
+        monkeypatch.setattr(ModuleContext, "from_source",
+                            classmethod(counting))
+        report = analyze_paths(paths=[default_root()])
+        assert report.files_analyzed > 50
+        assert len(calls) == report.files_analyzed
+        assert len(set(calls)) == len(calls)

@@ -46,6 +46,16 @@ class TestComparison:
         assert report.deltas[0].status == "new"
         assert report.deltas[0].ratio is None
 
+    def test_baselined_bench_without_result_fails_as_missing(self):
+        report = compare({"a": 1.0, "gone": 0.5}, {"a": 1.0})
+        assert not report.ok
+        assert [d.name for d in report.missing] == ["gone"]
+        assert report.regressions == []
+        gone = report.missing[0]
+        assert gone.status == "missing" and gone.ratio is None
+        assert "gone" in report.render()
+        assert "**MISSING**" in report.markdown()
+
     def test_markdown_table_contents(self):
         report = compare({"a": 1.0, "b": 1.0}, {"a": 2.0, "b": 1.0})
         table = report.markdown()
@@ -111,6 +121,13 @@ class TestCli:
         assert main([str(artifact), "--baseline", str(baseline)]) == 1
         assert main([str(artifact), "--baseline", str(baseline),
                      "--tolerance", "0.5"]) == 0
+
+    def test_missing_result_exits_nonzero(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        write_baseline(baseline, {"a": 1.0, "gone": 1.0})
+        artifact = bench_json(tmp_path, "bench.json", {"a": 1.0})
+        assert main([str(artifact), "--baseline", str(baseline)]) == 1
+        assert "gone (missing)" in capsys.readouterr().err
 
     def test_missing_baseline_is_actionable(self, tmp_path, capsys):
         artifact = bench_json(tmp_path, "bench.json", {"a": 1.0})

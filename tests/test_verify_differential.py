@@ -8,7 +8,6 @@ from repro.verify.differential import (
     check_adaptive_plain_equivalence,
     check_kernel_scalar_equivalence,
     check_sampler_bitwise,
-    check_service_inline_equivalence,
     run_all,
 )
 from repro.verify.digest import diff_documents
@@ -50,18 +49,12 @@ class TestKernelScalarEquivalence:
         assert check.ok, check.render()
 
 
-class TestServiceInlineEquivalence:
-    def test_service_path_matches_inline_and_golden(self):
-        check = check_service_inline_equivalence()
-        assert check.ok, check.render()
-
-
 class TestRunAll:
     def test_run_all_names_and_order(self):
         checks = run_all()
         assert [check.name for check in checks] == [
             "sampler-bitwise", "adaptive-plain-equivalence",
-            "kernel-scalar-equivalence", "service-inline-equivalence"]
+            "kernel-scalar-equivalence"]
         assert all(check.ok for check in checks)
 
     def test_render_shows_detail_on_mismatch(self):

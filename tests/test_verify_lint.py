@@ -1,21 +1,29 @@
-"""Lint rules on fixture snippets, waiver semantics, repo cleanliness."""
+"""The verify lint stage's rules on fixture snippets, waiver semantics,
+repo cleanliness."""
 
 import textwrap
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.verify.lint import (
+from repro.staticcheck import (
     Waiver,
-    lint_paths,
-    lint_source,
+    analyze_paths,
+    analyze_source,
     parse_waivers,
+    render,
 )
+from repro.verify.__main__ import LINT_RULES
 
 
 def lint(source, path="repro/core/example.py"):
-    """Lint a dedented snippet under a given virtual path."""
-    return lint_source(textwrap.dedent(source), path)
+    """Run the lint-stage rules on a dedented snippet at a virtual path."""
+    return analyze_source(textwrap.dedent(source), path, rules=LINT_RULES)
+
+
+def lint_paths():
+    """The lint stage's full-tree run over src/repro."""
+    return analyze_paths(rules=LINT_RULES)
 
 
 def rules_of(findings):
@@ -205,8 +213,8 @@ class TestRepoLint:
     def test_repo_is_clean_under_committed_waivers(self):
         """src/repro has no unwaived violations and no stale waivers."""
         report = lint_paths()
-        assert report.ok, report.render()
-        assert report.unused_waivers == [], report.render()
+        assert report.ok, render(report, "text")
+        assert report.unused_waivers == [], render(report, "text")
 
     def test_repo_waivers_are_exercised(self):
         """Every committed waiver still covers a real finding."""
@@ -215,4 +223,4 @@ class TestRepoLint:
 
     def test_syntax_error_raises_config_error(self):
         with pytest.raises(ConfigError, match="cannot parse"):
-            lint_source("def broken(:\n", "repro/x.py")
+            analyze_source("def broken(:\n", "repro/x.py", rules=LINT_RULES)
