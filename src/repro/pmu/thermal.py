@@ -71,29 +71,38 @@ class ThermalModel:
         if abs(self.temperature_c) < 1e-12:
             self.temperature_c = self.spec.t_ambient_c
 
+    def _integrated(self, now_ns: float) -> float:
+        """Junction temperature at ``now_ns`` under the current power."""
+        if now_ns < self._last_update_ns:
+            raise ConfigError(
+                f"thermal model cannot run backwards: {now_ns} < {self._last_update_ns}"
+            )
+        dt_s = ns_to_s(now_ns - self._last_update_ns)
+        steady = (self.spec.t_ambient_c + self.ambient_offset_c
+                  + self._power_w * self.spec.r_th_c_per_w)
+        decay = math.exp(-dt_s / self.spec.tau_s)
+        return steady + (self.temperature_c - steady) * decay
+
     def advance(self, now_ns: float, power_w: float) -> float:
         """Integrate up to ``now_ns``; then apply ``power_w`` onward.
 
         Returns the junction temperature at ``now_ns``.
         """
-        if now_ns < self._last_update_ns:
-            raise ConfigError(
-                f"thermal model cannot run backwards: {now_ns} < {self._last_update_ns}"
-            )
+        temperature_c = self._integrated(now_ns)
         if power_w < 0:
             raise ConfigError(f"power must be >= 0, got {power_w}")
-        dt_s = ns_to_s(now_ns - self._last_update_ns)
-        steady = (self.spec.t_ambient_c + self.ambient_offset_c
-                  + self._power_w * self.spec.r_th_c_per_w)
-        decay = math.exp(-dt_s / self.spec.tau_s)
-        self.temperature_c = steady + (self.temperature_c - steady) * decay
+        self.temperature_c = temperature_c
         self._last_update_ns = now_ns
         self._power_w = power_w
-        return self.temperature_c
+        return temperature_c
 
     def read(self, now_ns: float) -> float:
-        """Junction temperature at ``now_ns`` without changing the power."""
-        return self.advance(now_ns, self._power_w)
+        """Junction temperature at ``now_ns``, changing no state.
+
+        A read commits nothing, so reading mid-run leaves the float
+        trajectory of later :meth:`advance` calls untouched.
+        """
+        return self._integrated(now_ns)
 
     def set_ambient_offset(self, now_ns: float, offset_c: float) -> None:
         """Shift the ambient reference by ``offset_c`` from ``now_ns`` on.

@@ -128,8 +128,8 @@ class OptionsSpec:
     """Mitigation/ablation switches forwarded to ``SystemOptions``.
 
     Each field mirrors the identically named
-    :class:`~repro.soc.system.SystemOptions` switch; the PMU knobs and
-    kernel mode are carried elsewhere (:class:`PMUSpec`, environment).
+    :class:`~repro.soc.system.SystemOptions` switch; the PMU knobs are
+    carried by :class:`PMUSpec`.
     """
 
     per_core_vr: bool = False
@@ -667,12 +667,7 @@ class ScenarioSpec:
         return preset(self.preset).with_overrides(**dict(self.overrides))
 
     def system_options(self) -> SystemOptions:
-        """The ``SystemOptions`` this scenario's system is built with.
-
-        The kernel mode is deliberately left at its environment-driven
-        default so scenarios stay bit-identical under both
-        ``REPRO_KERNEL`` settings.
-        """
+        """The ``SystemOptions`` this scenario's system is built with."""
         return SystemOptions(
             per_core_vr=self.options.per_core_vr,
             ldo_rails=self.options.ldo_rails,

@@ -28,12 +28,6 @@ they run):
 * :meth:`Engine.run_until` pops due events in a single bounded loop
   instead of the historical ``peek_time()`` + ``step()`` pair, which
   scanned every cancelled head twice.
-
-The engine also hosts the batch-kernel hook (:meth:`install_kernel`):
-when a :class:`repro.soc.kernel.KernelBatch` is installed, the run loops
-notify it before dispatching each callback so it can flush deferred
-state ahead of any event that might observe it (see
-:mod:`repro.soc.kernel` for the segmentation model).
 """
 
 from __future__ import annotations
@@ -85,7 +79,6 @@ class Engine:
         self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._cancelled = 0
-        self._kernel: Optional[Any] = None
         self.now: float = 0.0
         self.events_run: int = 0
 
@@ -109,18 +102,6 @@ class Engine:
         handle.in_heap = True
         heapq.heappush(self._heap, (handle.time_ns, next(self._seq), handle))
         return handle
-
-    # -- batch kernel hook ---------------------------------------------------
-
-    def install_kernel(self, kernel: Optional[Any]) -> None:
-        """Attach (or detach, with None) a batch kernel to the run loops.
-
-        The kernel's ``before_event(callback)`` is invoked ahead of every
-        dispatched callback so deferred state can be flushed before any
-        event that is not provably mechanical (see
-        :mod:`repro.soc.kernel`).
-        """
-        self._kernel = kernel
 
     # -- cancellation bookkeeping --------------------------------------------
 
@@ -202,8 +183,6 @@ class Engine:
                             repr(handle.callback)),
                     "engine", time_ns, track="engine",
                 )
-        if self._kernel is not None:
-            self._kernel.before_event(handle.callback)
         handle.callback(*handle.args)
 
     def step(self) -> bool:

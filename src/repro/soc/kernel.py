@@ -1,158 +1,109 @@
-"""Batch fast-path for the event engine (``repro.soc.kernel``).
+"""Deferred trace recorder for the event engine (``repro.soc.kernel``).
 
-The scalar engine records every observable trace point inline, inside
-:meth:`repro.soc.system.System._record_state`: each recompute walks the
-cores, re-derives Cdyn/throttle/activity values per core *per record*,
-reads the rail history and steps the thermal model.  For current-
-management workloads — where every voltage settle, hysteresis expiry and
-completion triggers a full recompute — that recording dominates the run
-time even though nothing program-visible happens between yield points.
+Every recompute of a :class:`~repro.soc.system.System` produces one set
+of observables: total Cdyn, package frequency, per-core throttle state
+and activity class, and — through the rail voltage — the package power
+that drives the thermal model.  Nothing on a covert channel's critical
+path reads them: the receivers decode ``rdtsc`` deltas.  So the system
+does not write its traces inline.  :meth:`KernelBatch.capture_state`
+appends one compact entry to a log, and :meth:`KernelBatch.flush`
+replays the log into the traces only when something reads them
+(docs/KERNEL.md):
 
-This module implements the batch kernel described in the simulator docs
-(:doc:`docs/KERNEL.md`): between *program-visible* events the system
-defers trace recording into a pending capture list, and replays it in
-one flush when anything that could observe the traces is about to run.
-The segmentation is event-driven rather than time-driven:
+* a trace property of the System is read (``freq_trace``,
+  ``temp_trace``, ...), or a signal accessor (``icc_at``,
+  ``vcc_signal``, ...) calls ``System.sync_traces``;
+* something touches ``System.thermal`` — the thermal-drift fault must
+  integrate the temperature replayed up to ``now``;
+* the log reaches :data:`LOG_CAP` entries, so a System whose traces are
+  never read holds a bounded log.
 
-* the engine calls :meth:`KernelBatch.before_event` ahead of every
-  dispatched callback; callbacks in the *mechanical* set (voltage
-  settles, frequency-change completions, rail retarget settles, loop
-  completions, hysteresis checks) provably never read the deferred
-  traces, so captures keep accumulating across them;
-* any other callback — a program resuming via ``System._advance``, a
-  noise process, an externally scheduled hook — forces a flush first,
-  so user code always observes exactly the trace state the scalar
-  engine would have produced.
+Bit-identity contract with inline recording (checked in the test suite
+against an inline-recording oracle, and by every committed golden):
 
-Bit-identity contract (enforced by ``repro.verify`` and the
-differential harness in :mod:`repro.verify.differential`):
-
-* captured values are computed at capture time from the same state the
-  scalar ``_record_state`` would have read, with the same expressions;
-* the rail voltage is evaluated lazily at flush time — sound because
+* captured values are computed at capture time, from the same state and
+  with the same expressions inline recording used;
+* the rail voltage is looked up at replay time — sound because
   :class:`~repro.pdn.regulator.VoltageRegulator` history is append-only
-  and a segment boundary voltage equals the value the pre-command
-  history gives at that instant, so ``voltage_at(t)`` for any past ``t``
-  is invariant under later commands;
-* large flushes use the vectorized ``voltages_at``, which applies the
+  and a new segment starts at the voltage the older history gives at
+  that instant, so ``voltage_at(t)`` for any past ``t`` is invariant
+  under later commands;
+* large replays use the vectorized ``voltages_at``, which applies the
   scalar clamped-fraction formula elementwise in float64 (IEEE-754
   lanes agree with scalar arithmetic bit for bit);
-* ``StepTrace.record`` is idempotent for repeated identical
-  ``(time, value)`` calls (same-time records overwrite), so the
-  ``n_cores`` identical records the scalar ``_recompute_all`` issues
-  collapse into one replayed record per trace — except the thermal
-  chain, where each zero-dt ``ThermalModel.advance`` perturbs the
-  temperature state at ULP level and is therefore replayed once per
-  repeat, preserving the scalar float trajectory exactly.
+* the thermal chain is replayed in capture order, once per repeat:
+  ``n_cores`` identical back-to-back records collapse into one log
+  entry for every ``StepTrace`` (same-time records overwrite), but each
+  zero-dt ``ThermalModel.advance`` moves the temperature at ULP level,
+  so those are replayed one by one.
 
-The kernel never changes *simulation* state evolution — activities,
-PMU requests, rail commands and local-PMU hysteresis all advance
-identically; only the recording of observables is deferred.
+The log never changes *simulation* state evolution — activities, PMU
+requests, rail commands and hysteresis advance identically; only the
+recording of observables is deferred.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.isa.instructions import LABEL
 
-#: Flushes with at least this many state captures evaluate the rail
-#: with one vectorized ``voltages_at`` call; smaller batches use the
-#: scalar bisect per capture (identical values either way).
+#: Replays with at least this many captures evaluate the rail with one
+#: vectorized ``voltages_at`` call; smaller ones use the scalar bisect
+#: per capture (identical values either way).
 VECTOR_THRESHOLD = 32
 
+#: The log is replayed as soon as it holds this many captures, so a
+#: System whose traces are never read keeps a bounded log.
+LOG_CAP = 4096
 
-def _mechanical_callbacks(system: Any) -> FrozenSet[Callable[..., Any]]:
-    """The closed set of callbacks that never observe deferred traces.
-
-    Imported lazily to avoid a cycle with :mod:`repro.soc.system`
-    (which imports this module at top level).  Membership is tested
-    against the *underlying function* of the scheduled bound method, so
-    a subclass override of any of these drops out of the set and takes
-    the flush-first path — conservative by construction.
-    """
-    from repro.pmu.central import CentralPMU
-    from repro.soc.system import System
-
-    return frozenset({
-        CentralPMU._on_settle,
-        CentralPMU._finish_freq_change,
-        CentralPMU._on_retarget_settle,
-        System._complete,
-        System._hysteresis_check,
-    })
+#: One capture's observables: total Cdyn, frequency, per-core throttle
+#: flags, per-core activity labels, and the number of identical records
+#: it stands for.
+Snapshot = Tuple[float, float, Tuple[int, ...], Tuple[str, ...], int]
 
 
 class KernelBatch:
-    """Deferred-trace recorder driven by the engine's dispatch hook.
+    """The deferred-trace log of one :class:`~repro.soc.system.System`.
 
-    One instance is installed per kernel-eligible
-    :class:`~repro.soc.system.System` (``SystemOptions.kernel ==
-    "auto"``, no C-states, no governor, no fault injector).  The system
-    routes its recording through :meth:`capture_state` /
-    :meth:`defer_freq` instead of writing traces inline; the engine
-    calls :meth:`before_event` ahead of every dispatch.
+    Each entry is a capture time plus an interned :data:`Snapshot`:
+    consecutive recomputes mostly reproduce a handful of distinct
+    states, so the log costs two list slots per capture.
     """
 
-    __slots__ = ("system", "_mechanical", "_pending",
-                 "captures", "flushes", "vector_flushes",
-                 "mechanical_events", "barrier_events", "max_batch")
+    __slots__ = ("system", "_times", "_snapshots", "_interned",
+                 "flushes", "max_batch")
 
     def __init__(self, system: Any) -> None:
         self.system = system
-        self._mechanical = _mechanical_callbacks(system)
-        #: Chronological deferred records.  Two shapes:
-        #: ``("freq", t, freq)`` for the direct frequency record issued
-        #: by ``_on_pmu_state_change`` ahead of its recompute, and
-        #: ``("state", t, total_cdyn, freq, throttles, labels, repeats)``
-        #: for one full ``_record_state`` worth of observables,
-        #: collapsed across ``repeats`` identical scalar records.
-        self._pending: List[Tuple[Any, ...]] = []
-        self.captures = 0
+        self._times: List[float] = []
+        self._snapshots: List[Snapshot] = []
+        self._interned: Dict[Snapshot, Snapshot] = {}
         self.flushes = 0
-        self.vector_flushes = 0
-        self.mechanical_events = 0
-        self.barrier_events = 0
         self.max_batch = 0
-
-    # -- engine hook -------------------------------------------------------
-
-    def before_event(self, callback: Callable[..., Any]) -> None:
-        """Flush ahead of any callback outside the mechanical set."""
-        if getattr(callback, "__func__", callback) in self._mechanical:
-            self.mechanical_events += 1
-            return
-        self.barrier_events += 1
-        if self._pending:
-            self.flush()
 
     # -- capture -----------------------------------------------------------
 
-    def defer_freq(self, t_ns: float, freq_ghz: float) -> None:
-        """Defer a direct frequency-trace record (PMU state change)."""
-        self._pending.append(("freq", t_ns, freq_ghz))
-
     def capture_state(self, repeats: int) -> None:
-        """Capture one ``_record_state`` worth of observables.
+        """Log one record's worth of observables at the current time.
 
-        ``repeats`` is the number of identical back-to-back records the
-        scalar path would have issued (``n_cores`` for a full
+        ``repeats`` is the number of identical back-to-back records
+        inline recording issues (``n_cores`` for a full
         ``_recompute_all``, 1 for a standalone core recompute); it only
         affects the thermal replay, where zero-dt advances are not
         float no-ops.
         """
         system = self.system
-        now = system.engine.now
         pmu = system.pmu
         n_cores = system.config.n_cores
         core_cdyn = system._core_cdyn
         total_cdyn = sum(core_cdyn(core) for core in range(n_cores))
         is_throttled = pmu.is_core_throttled
-        throttles = tuple(
+        throttles = tuple([
             1 if is_throttled(core) else 0 for core in range(n_cores)
-        )
+        ])
         labels: List[str] = []
         for threads in system._core_threads:
             top = None
@@ -162,60 +113,53 @@ class KernelBatch:
                     iclass = activity.loop.iclass
                     if top is None or iclass > top:
                         top = iclass
-            labels.append(LABEL[top] if top is not None else "idle")
-        self._pending.append(("state", now, total_cdyn, pmu.freq_ghz,
-                              throttles, tuple(labels), repeats))
-        self.captures += 1
-
-    @property
-    def pending_captures(self) -> int:
-        """Deferred records not yet replayed (test/introspection hook)."""
-        return len(self._pending)
+            labels.append("idle" if top is None else LABEL[top])
+        snapshot = (total_cdyn, pmu.freq_ghz, throttles, tuple(labels),
+                    repeats)
+        self._times.append(system.engine.now)
+        self._snapshots.append(self._interned.setdefault(snapshot, snapshot))
+        if len(self._times) >= LOG_CAP:
+            self.flush()
 
     # -- replay ------------------------------------------------------------
 
     def flush(self) -> None:
-        """Replay every pending capture into the system's traces.
+        """Replay every logged capture into the system's traces.
 
-        Replays in capture order, so each individual trace sees its
-        records chronologically.  The rail voltage for each state
-        capture is evaluated here — past-time lookups are invariant
-        under the commands issued since capture (append-only history).
+        Replays in capture order, so each trace sees its records
+        chronologically and the thermal chain integrates in the order
+        inline recording would have.  The rail voltage for each capture
+        is evaluated here — past-time lookups are invariant under the
+        commands issued since capture (append-only history).
         """
-        pending = self._pending
-        if not pending:
+        times = self._times
+        if not times:
             return
-        self._pending = []
+        snapshots = self._snapshots
+        self._times = []
+        self._snapshots = []
+        self._interned = {}
         self.flushes += 1
-        if len(pending) > self.max_batch:
-            self.max_batch = len(pending)
+        if len(times) > self.max_batch:
+            self.max_batch = len(times)
 
         system = self.system
         rail = system.pmu.rail_of(0)
-        state_times = [entry[1] for entry in pending if entry[0] == "state"]
-        if len(state_times) >= VECTOR_THRESHOLD:
-            self.vector_flushes += 1
-            vccs = [float(v) for v in
-                    rail.voltages_at(np.asarray(state_times, dtype=float))]
+        if len(times) >= VECTOR_THRESHOLD:
+            vccs = rail.voltages_at(np.asarray(times, dtype=float)).tolist()
         else:
             voltage_at = rail.voltage_at
-            vccs = [voltage_at(t) for t in state_times]
+            vccs = [voltage_at(t) for t in times]
 
-        cdyn_record = system.cdyn_trace.record
-        freq_record = system.freq_trace.record
-        throttle_records = [trace.record for trace in system.throttle_traces]
-        activity_records = [trace.record for trace in system.activity_traces]
-        temp_record = system.temp_trace.record
-        advance = system.thermal.advance
+        cdyn_record = system._cdyn_trace.record
+        freq_record = system._freq_trace.record
+        throttle_records = [trace.record for trace in system._throttle_traces]
+        activity_records = [trace.record for trace in system._activity_traces]
+        temp_record = system._temp_trace.record
+        advance = system._thermal.advance
         n_cores = system.config.n_cores
-        vcc_index = 0
-        for entry in pending:
-            if entry[0] == "freq":
-                freq_record(entry[1], entry[2])
-                continue
-            _, now, total_cdyn, freq, throttles, labels, repeats = entry
-            vcc = vccs[vcc_index]
-            vcc_index += 1
+        for now, snapshot, vcc in zip(times, snapshots, vccs):
+            total_cdyn, freq, throttles, labels, repeats = snapshot
             cdyn_record(now, total_cdyn)
             freq_record(now, freq)
             for core in range(n_cores):
@@ -228,13 +172,9 @@ class KernelBatch:
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Counters for benchmarks and the differential report."""
+        """Replay counters and the current log size."""
         return {
-            "captures": self.captures,
             "flushes": self.flushes,
-            "vector_flushes": self.vector_flushes,
-            "mechanical_events": self.mechanical_events,
-            "barrier_events": self.barrier_events,
             "max_batch": self.max_batch,
-            "pending": len(self._pending),
+            "pending": len(self._times),
         }

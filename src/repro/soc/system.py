@@ -23,14 +23,13 @@ used here (quarter-rate throttling, SMT sharing).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
-from repro.isa.instructions import CDYN_NF, IPC, LABEL, IClass
+from repro.isa.instructions import CDYN_NF, IPC, IClass
 from repro.isa.workload import Loop, PhaseTrace, uniform_loop
 from repro.measure.sampler import PiecewiseConstantSignal, PiecewiseLinearSignal
 from repro.measure.trace import StepTrace
@@ -93,15 +92,6 @@ class SystemOptions:
         their guardband.  The droop model then reports the voltage
         emergencies the real mechanism exists to prevent
         (:attr:`System.voltage_emergencies`).
-    kernel:
-        Batch-kernel mode (see :mod:`repro.soc.kernel` and
-        ``docs/KERNEL.md``).  ``"auto"`` installs the deferred-trace
-        fast path when the system is eligible (no C-states, no
-        governor, no fault injector) and falls back to the scalar
-        reference engine otherwise; ``"off"`` always runs scalar.
-        Defaults from the ``REPRO_KERNEL`` environment variable, read
-        at construction time, so whole scenario runs can be switched
-        without code changes.
     """
 
     per_core_vr: bool = False
@@ -112,15 +102,6 @@ class SystemOptions:
     disable_throttling: bool = False
     pmu_queue_depth: int = 0
     pmu_grant_policy: str = "serialized"
-    kernel: str = field(
-        default_factory=lambda: os.environ.get("REPRO_KERNEL", "auto")
-    )
-
-    def __post_init__(self) -> None:
-        if self.kernel not in ("off", "auto"):
-            raise ConfigError(
-                f"kernel mode must be 'off' or 'auto', got {self.kernel!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -229,8 +210,6 @@ class System:
                  governor: Optional["Governor"] = None,
                  seed: int = 2021) -> None:
         if options is None:
-            # Built per-construction (not as a signature default) so the
-            # REPRO_KERNEL environment override is read at call time.
             options = SystemOptions()
         self.config = config
         self.options = options
@@ -241,9 +220,9 @@ class System:
         #: :meth:`repro.faults.FaultInjector.attach`; layers below the
         #: fault subsystem (channels, schedules) consult it duck-typed.
         self.faults: Optional[object] = None
-        #: Batch-kernel recorder; stays None until construction-time
-        #: recording (scalar reference path) has finished.
-        self._recorder: Optional[KernelBatch] = None
+        #: Deferred log of observables, replayed into the traces when
+        #: something reads them (see :mod:`repro.soc.kernel`).
+        self._recorder = KernelBatch(self)
 
         if governor is not None and governor_freq_ghz is not None:
             raise ConfigError(
@@ -305,7 +284,7 @@ class System:
                 turbo_license_limit=options.turbo_license_limit,
             ),
         )
-        self.pmu.on_state_change = self._on_pmu_state_change
+        self.pmu.on_state_change = self._recompute_all
 
         gate_spec = PowerGateSpec(present=config.avx_pg_present,
                                   wake_ns=config.pg_wake_ns)
@@ -318,7 +297,7 @@ class System:
             )
             for i in range(config.n_cores)
         ]
-        self.thermal = ThermalModel(config.thermal)
+        self._thermal = ThermalModel(config.thermal)
         self.cstates: Optional[CStateTracker] = (
             CStateTracker(CStateSpec(), config.n_cores)
             if config.cstates_enabled else None
@@ -340,75 +319,77 @@ class System:
         self._hysteresis_checks: List[Optional[EventHandle]] = [None] * config.n_cores
         self._processes: List[_Process] = []
 
-        # Observable traces.
-        self.freq_trace: StepTrace = StepTrace("freq_ghz")
-        self.cdyn_trace: StepTrace = StepTrace("cdyn_nf")
-        self.throttle_traces: List[StepTrace] = [
+        # Observable traces, written only by the recorder's replay; the
+        # read-only properties below replay the log before handing one out.
+        self._freq_trace: StepTrace = StepTrace("freq_ghz")
+        self._cdyn_trace: StepTrace = StepTrace("cdyn_nf")
+        self._throttle_traces: List[StepTrace] = [
             StepTrace(f"core{i}_throttled") for i in range(config.n_cores)
         ]
-        self.activity_traces: List[StepTrace] = [
+        self._activity_traces: List[StepTrace] = [
             StepTrace(f"core{i}_class") for i in range(config.n_cores)
         ]
-        self.temp_trace: StepTrace = StepTrace("tj_c")
-        self.freq_trace.record(0.0, self.pmu.freq_ghz)
-        self._record_state()
+        self._temp_trace: StepTrace = StepTrace("tj_c")
+        self._recorder.capture_state(1)
 
         # Apply license/limit clamping for the initial operating point.
         self.pmu.set_requested_freq(requested)
 
-        # Batch kernel: installed last so construction records run the
-        # scalar reference path.  Eligibility is conservative — any
-        # feature whose callbacks are not in the mechanical set keeps
-        # the whole system scalar (docs/KERNEL.md).
-        if (options.kernel == "auto" and self.cstates is None
-                and governor is None):
-            self._recorder = KernelBatch(self)
-            self.engine.install_kernel(self._recorder)
+    # -- observables ------------------------------------------------------------
 
-    # -- batch kernel -----------------------------------------------------------
+    @property
+    def freq_trace(self) -> StepTrace:
+        """Package frequency (GHz) over time."""
+        self._recorder.flush()
+        return self._freq_trace
+
+    @property
+    def cdyn_trace(self) -> StepTrace:
+        """Total switched capacitance (nF) over time."""
+        self._recorder.flush()
+        return self._cdyn_trace
+
+    @property
+    def throttle_traces(self) -> List[StepTrace]:
+        """Per-core throttle state (1 while throttled) over time."""
+        self._recorder.flush()
+        return self._throttle_traces
+
+    @property
+    def activity_traces(self) -> List[StepTrace]:
+        """Per-core label of the heaviest running class over time."""
+        self._recorder.flush()
+        return self._activity_traces
+
+    @property
+    def temp_trace(self) -> StepTrace:
+        """Junction temperature (degC) over time."""
+        self._recorder.flush()
+        return self._temp_trace
+
+    @property
+    def thermal(self) -> ThermalModel:
+        """The package thermal model, integrated up to the last capture."""
+        self._recorder.flush()
+        return self._thermal
 
     @property
     def kernel_active(self) -> bool:
-        """Whether the batch fast path is currently installed."""
-        return self._recorder is not None
+        """Always True: every System records through the deferred log."""
+        return True
 
-    def kernel_stats(self) -> Optional[Dict[str, int]]:
-        """Batch-kernel counters, or None when running scalar."""
-        return None if self._recorder is None else self._recorder.stats()
+    def kernel_stats(self) -> Dict[str, int]:
+        """Replay counters and the current size of the deferred log."""
+        return self._recorder.stats()
 
     def sync_traces(self) -> None:
-        """Replay any deferred trace records (no-op on the scalar path).
+        """Replay the deferred log into the traces (idempotent).
 
-        Public flush point: every trace-reading accessor calls it, and
-        code that reads ``freq_trace``/``cdyn_trace``/... attributes
-        directly mid-run must call it first (docs/KERNEL.md).
+        Every trace property and signal accessor calls it, so readers
+        never need to; it exists for accessors that combine several
+        traces and flush once up front.
         """
-        recorder = self._recorder
-        if recorder is not None:
-            recorder.flush()
-
-    def _active_recorder(self) -> Optional[KernelBatch]:
-        """The recorder to capture into, demoting to scalar on faults.
-
-        A fault injector attaches after construction and its hooks are
-        not in the mechanical set, so the first capture attempt after
-        attachment flushes what is pending and uninstalls the kernel
-        for good — the run continues on the scalar reference path.
-        """
-        recorder = self._recorder
-        if recorder is None:
-            return None
-        if self.faults is not None:
-            self._disable_kernel()
-            return None
-        return recorder
-
-    def _disable_kernel(self) -> None:
-        recorder = self._recorder
-        if recorder is not None:
-            recorder.flush()
-            self._recorder = None
-            self.engine.install_kernel(None)
+        self._recorder.flush()
 
     # -- time and measurement ---------------------------------------------------
 
@@ -428,8 +409,8 @@ class System:
     def icc_at(self, t_ns: float) -> float:
         """Package supply current at ``t_ns`` (Cdyn * V * f)."""
         self.sync_traces()
-        cdyn = self.cdyn_trace.value_at(t_ns, default=0.0)
-        freq = self.freq_trace.value_at(t_ns, default=self.pmu.freq_ghz)
+        cdyn = self._cdyn_trace.value_at(t_ns, default=0.0)
+        freq = self._freq_trace.value_at(t_ns, default=self.pmu.freq_ghz)
         vcc = self.vcc_at(t_ns)
         return float(cdyn) * vcc * float(freq)
 
@@ -455,7 +436,7 @@ class System:
     def freq_signal(self) -> PiecewiseConstantSignal:
         """A vectorizable snapshot of the package frequency trace."""
         self.sync_traces()
-        return self.freq_trace.signal(default=self.pmu.freq_ghz)
+        return self._freq_trace.signal(default=self.pmu.freq_ghz)
 
     def icc_signal(self) -> PiecewiseLinearSignal:
         """A vectorizable snapshot of the package supply current.
@@ -469,8 +450,8 @@ class System:
         """
         self.sync_traces()
         vcc_times, vcc_volts = self.pmu.rail_of(0).breakpoints()
-        cdyn = self.cdyn_trace.signal(default=0.0)
-        freq = self.freq_trace.signal(default=self.pmu.freq_ghz)
+        cdyn = self._cdyn_trace.signal(default=0.0)
+        freq = self._freq_trace.signal(default=self.pmu.freq_ghz)
         merged = np.union1d(np.union1d(vcc_times, cdyn.times_ns),
                             freq.times_ns)
         vcc_m = np.interp(merged, vcc_times, vcc_volts)
@@ -531,12 +512,10 @@ class System:
     def run_until(self, time_ns: float) -> None:
         """Advance the simulation to ``time_ns``."""
         self.engine.run_until(time_ns)
-        self.sync_traces()
 
     def run_to_completion(self, max_events: int = 10_000_000) -> None:
         """Run until every scheduled event (and program) has finished."""
         self.engine.run(max_events)
-        self.sync_traces()
 
     def apply_governor(self, governor: Governor) -> None:
         """Apply a software frequency policy at runtime (Section 5.7).
@@ -551,8 +530,6 @@ class System:
                 f"governor requested {requested} GHz outside "
                 f"[{self.config.min_freq_ghz}, {self.config.max_turbo_ghz}]"
             )
-        # Governed runs take the scalar reference path from here on.
-        self._disable_kernel()
         self.pmu.set_requested_freq(requested)
 
     # -- noise hooks ------------------------------------------------------------
@@ -666,9 +643,6 @@ class System:
             self.cstates.note_idle(thread.core_id, now)
         self.pmu.set_core_active(thread.core_id, core_busy)
         self._recompute_core(thread.core_id)
-        # The resumed program may observe traces immediately (rdtsc
-        # deltas, icc reads); hand it the fully replayed state.
-        self.sync_traces()
         activity.resume(result)
 
     def _thread_throttled(self, thread: _HWThread) -> bool:
@@ -704,36 +678,21 @@ class System:
             activity.rate_throttled = self._thread_throttled(thread)
             self._check_voltage_emergency(thread)
             self._reschedule_completion(thread)
-        if not _record:
-            return
-        recorder = self._active_recorder()
-        if recorder is None:
-            self._record_state()
-        else:
-            recorder.capture_state(1)
+        if _record:
+            self._recorder.capture_state(1)
 
     def _recompute_all(self) -> None:
-        recorder = self._active_recorder()
-        if recorder is None:
-            for core in range(self.config.n_cores):
-                self._recompute_core(core)
-            return
-        # The per-core inner recomputes leave every recorded observable
-        # (Cdyn, throttle, activity class, frequency, rail voltage)
-        # untouched, so the scalar path's n_cores interleaved records
-        # are exact duplicates — captured once with the repeat count so
-        # the thermal replay preserves the scalar float trajectory.
+        """Recompute every core after a PMU state change.
+
+        The per-core recomputes leave every recorded observable (Cdyn,
+        throttle, activity class, frequency, rail voltage) untouched, so
+        recording after each one would log ``n_cores`` identical
+        records: they are captured once with that repeat count, which
+        the thermal replay honours.
+        """
         for core in range(self.config.n_cores):
             self._recompute_core(core, _record=False)
-        recorder.capture_state(self.config.n_cores)
-
-    def _on_pmu_state_change(self) -> None:
-        recorder = self._active_recorder()
-        if recorder is None:
-            self.freq_trace.record(self.engine.now, self.pmu.freq_ghz)
-        else:
-            recorder.defer_freq(self.engine.now, self.pmu.freq_ghz)
-        self._recompute_all()
+        self._recorder.capture_state(self.config.n_cores)
 
     def _update_progress(self, thread: _HWThread, now: float) -> None:
         activity = thread.activity
@@ -848,36 +807,16 @@ class System:
     # -- tracing --------------------------------------------------------------------------
 
     def _core_cdyn(self, core: int) -> float:
-        classes = [
-            t.activity.loop.iclass
-            for t in self._core_threads[core]
-            if t.runnable and t.activity is not None
-        ]
-        if not classes:
+        """Cdyn of the heaviest runnable class on ``core`` (idle if none)."""
+        cdyn = None
+        for thread in self._core_threads[core]:
+            activity = thread.activity
+            if activity is not None and thread.suspensions == 0:
+                value = CDYN_NF[activity.loop.iclass]
+                if cdyn is None or value > cdyn:
+                    cdyn = value
+        if cdyn is None:
             if self.cstates is not None:
                 return self.cstates.idle_cdyn_nf(core, self.engine.now)
             return IDLE_CDYN_NF
-        return max(CDYN_NF[c] for c in classes)
-
-    def _record_state(self) -> None:
-        now = self.engine.now
-        total_cdyn = sum(self._core_cdyn(core) for core in range(self.config.n_cores))
-        self.cdyn_trace.record(now, total_cdyn)
-        self.freq_trace.record(now, self.pmu.freq_ghz)
-        for core in range(self.config.n_cores):
-            self.throttle_traces[core].record(
-                now, 1 if self.pmu.is_core_throttled(core) else 0,
-            )
-            classes = [
-                t.activity.loop.iclass
-                for t in self._core_threads[core]
-                if t.activity is not None
-            ]
-            top = max(classes) if classes else None
-            self.activity_traces[core].record(
-                now, LABEL[top] if top is not None else "idle",
-            )
-        vcc = self.vcc_at(now)
-        freq = self.pmu.freq_ghz
-        power = total_cdyn * vcc * vcc * freq
-        self.temp_trace.record(now, self.thermal.advance(now, power))
+        return cdyn

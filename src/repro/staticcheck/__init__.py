@@ -16,7 +16,7 @@ text/JSON/SARIF reporters:
   unordered-set iteration);
 * :mod:`repro.staticcheck.passes.poolsafety` — process-pool safety
   (unpicklable callables, worker-side global mutation);
-* :mod:`repro.staticcheck.passes.kernelsafety` — batch-kernel hot
+* :mod:`repro.staticcheck.passes.kernelsafety` — trace-recorder hot
   paths (per-item callbacks, order-dependent float accumulation,
   object arrays);
 * :mod:`repro.staticcheck.passes.goldenflow` — mapping-layer golden

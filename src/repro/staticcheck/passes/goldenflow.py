@@ -69,10 +69,8 @@ GOLDEN_UNCONDITIONAL: Dict[str, frozenset] = {
 }
 
 #: ``SystemOptions`` fields a forwarding site may legitimately omit:
-#: ``disable_throttling`` is ablation-only and ``kernel`` stays at its
-#: environment-driven default so scenarios digest identically under
-#: both ``REPRO_KERNEL`` settings.
-FORWARD_EXEMPT = frozenset({"disable_throttling", "kernel"})
+#: ``disable_throttling`` is ablation-only.
+FORWARD_EXEMPT = frozenset({"disable_throttling"})
 
 
 def _call_tail(func: ast.expr) -> str:

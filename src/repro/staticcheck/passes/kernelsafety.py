@@ -1,9 +1,9 @@
 """Kernel hot-path safety pass.
 
-The batch kernel (:mod:`repro.soc.kernel`) and the array-valued PDN /
+The trace recorder (:mod:`repro.soc.kernel`) and the array-valued PDN /
 microarch helpers it calls are the only code in the tree where per-item
 Python overhead is a measured cost and where float evaluation *order* is
-a correctness contract (bit-identity with the scalar engine, see
+a correctness contract (bit-identity with inline recording, see
 ``docs/KERNEL.md``).  This pass watches exactly those modules for the
 three constructs that erode either property:
 
@@ -22,7 +22,7 @@ three constructs that erode either property:
     reordering — including a later "optimisation" to ``np.sum`` or
     pairwise summation — silently changes the float trajectory the
     verify goldens pin.  Existing sites are baselined for the same
-    reason: they intentionally mirror the scalar engine's order.
+    reason: they intentionally mirror inline recording's order.
 ``kernel-object-dtype``
     An explicit ``dtype=object`` array.  Object arrays are pointer
     tables: every element access boxes, no lane arithmetic happens, and
@@ -39,9 +39,9 @@ from repro.staticcheck.context import ModuleContext, ProjectContext
 from repro.staticcheck.model import Finding, Severity
 from repro.staticcheck.registry import Rule, register
 
-#: The modules this pass analyses: the batch kernel itself plus the
+#: The modules this pass analyses: the trace recorder itself plus the
 #: array-valued helpers on its flush path.  Everything else in the tree
-#: is free to use per-item Python — that's what the scalar engine is.
+#: is free to use per-item Python.
 HOT_PATHS = frozenset({
     "repro/soc/kernel.py",
     "repro/pdn/regulator.py",
@@ -77,7 +77,7 @@ class KernelSafetyPass:
         Rule("kernel-float-accum",
              "order-dependent float accumulation in a hot-path loop",
              Severity.WARNING,
-             "keep the scalar engine's summation order (and baseline the "
+             "keep inline recording's summation order (and baseline the "
              "site), or prove the reference path reorders with it"),
         Rule("kernel-object-dtype",
              "object-dtype array on the kernel hot path",

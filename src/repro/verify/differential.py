@@ -9,9 +9,7 @@ verify run:
 * a :class:`~repro.core.session.CovertSession` configured with adaptive
   machinery behaves **exactly** like a plain session when no faults are
   injected — the adaptive state machine must be pay-for-what-you-use,
-  never perturbing a healthy channel;
-* every golden scenario is identical under the batch kernel and the
-  scalar reference engine (``REPRO_KERNEL`` off vs auto).
+  never perturbing a healthy channel.
 
 Each check returns a :class:`DiffCheck` with leaf-level mismatch lines,
 rendered by ``python -m repro.verify``.
@@ -135,68 +133,16 @@ def check_adaptive_plain_equivalence() -> DiffCheck:
                      ok=not detail, detail=detail)
 
 
-def _document_under_kernel(name: str, mode: str) -> dict:
-    """One golden scenario's canonical document under a kernel mode.
-
-    ``SystemOptions`` reads ``REPRO_KERNEL`` at construction time, so
-    flipping the environment variable around the scenario run switches
-    every system it builds between the batch kernel and the scalar
-    reference engine.
-    """
-    import os
-
-    from repro.verify.scenarios import compute_document
-
-    previous = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_KERNEL"] = mode
-    try:
-        return compute_document(name)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_KERNEL"]
-        else:
-            os.environ["REPRO_KERNEL"] = previous
-
-
-def check_kernel_scalar_equivalence(
-        names: Optional[Sequence[str]] = None) -> DiffCheck:
-    """Every committed golden scenario must be kernel/scalar identical.
-
-    Replays each scenario in the registry (or the given subset of
-    ``names``) twice in-process — ``REPRO_KERNEL=off`` (scalar
-    reference) and ``REPRO_KERNEL=auto`` (batch kernel where eligible)
-    — and diffs the full canonical documents leaf by leaf.  Exact
-    equality, no epsilon: the kernel's whole contract is that deferred
-    replay reproduces the scalar float trajectory bit for bit
-    (docs/KERNEL.md).
-    """
-    from repro.verify.scenarios import scenario_names
-
-    detail: List[str] = []
-    for name in (scenario_names() if names is None else names):
-        scalar = _document_under_kernel(name, "off")
-        kernel = _document_under_kernel(name, "auto")
-        lines = diff_documents(scalar, kernel)
-        for line in lines[:5]:
-            detail.append(f"{name}: {line}")
-        if len(lines) > 5:
-            detail.append(f"{name}: ... and {len(lines) - 5} more leaves")
-    return DiffCheck(name="kernel-scalar-equivalence",
-                     ok=not detail, detail=detail)
-
-
 def run_all() -> List[DiffCheck]:
     """Every differential check, in reporting order."""
-    return [check_sampler_bitwise(), check_adaptive_plain_equivalence(),
-            check_kernel_scalar_equivalence()]
+    return [check_sampler_bitwise(), check_adaptive_plain_equivalence()]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro.verify.differential`` — standalone report.
 
     Runs every differential check and optionally writes a JSON report
-    (``--json PATH``), which CI uploads as the kernel-vs-scalar
-    differential artifact.  Exit status 0 only when every check passes.
+    (``--json PATH``).  Exit status 0 only when every check passes.
     """
     import argparse
     import json

@@ -87,3 +87,19 @@ class TestDynamics:
     def test_rejects_negative_power(self, model):
         with pytest.raises(ConfigError):
             model.advance(0.0, -1.0)
+
+    def test_read_mid_run_leaves_later_advances_bit_identical(self):
+        """Reading the temperature commits nothing: a model read between
+        power steps returns the same bits from every later advance as
+        an untouched twin (a committed read would split the decay into
+        two exponentials and drift at ULP level)."""
+        spec = ThermalSpec(r_th_c_per_w=0.9, tau_s=4.0, t_ambient_c=45.0)
+        read, untouched = ThermalModel(spec), ThermalModel(spec)
+        steps = [(us_to_ns(37.0 * i), 3.0 + 7.3 * (i % 5)) for i in range(40)]
+        for (t_ns, power_w), (t_next, _) in zip(steps, steps[1:]):
+            assert read.advance(t_ns, power_w) == untouched.advance(t_ns, power_w)
+            read.read(t_ns + (t_next - t_ns) / 3.0)
+            read.is_throttling(t_next)
+            read.headroom_c(t_next)
+        assert read.advance(s_to_ns(1.0), 0.0) == untouched.advance(s_to_ns(1.0), 0.0)
+        assert read.temperature_c == untouched.temperature_c

@@ -214,7 +214,6 @@ FORWARD_PRELUDE = textwrap.dedent("""
         per_core_vr: bool = False
         secure_mode: bool = False
         disable_throttling: bool = False
-        kernel: str = ""
 
 
     @dataclass(frozen=True)
@@ -278,7 +277,7 @@ class TestGoldenForward:
         assert findings == []
 
     def test_exempt_fields_may_be_omitted(self):
-        # disable_throttling and kernel are deliberately not forwarded.
+        # disable_throttling is deliberately not forwarded.
         findings = golden_findings(FORWARD_PRELUDE + textwrap.dedent("""
 
             @dataclass(frozen=True)
