@@ -9,20 +9,14 @@ makes CI miserable.
 """
 
 import time
-from pathlib import Path
 
 from repro.staticcheck import analyze_paths
 from repro.staticcheck.runner import default_root
 
-#: The committed ratchet baseline — the full tree is only "clean"
-#: modulo these reviewed entries, exactly as the CI gate runs it.
-BASELINE = (Path(__file__).resolve().parent.parent
-            / "tests" / "staticcheck_baseline.json")
-
 
 def full_tree_run():
     """One complete analysis of the installed repro package."""
-    return analyze_paths(paths=[default_root()], baseline_path=BASELINE)
+    return analyze_paths(paths=[default_root()])
 
 
 def test_bench_staticcheck(benchmark):
@@ -33,8 +27,7 @@ def test_bench_staticcheck(benchmark):
     benchmark.extra_info["live_findings"] = len(report.findings)
     benchmark.extra_info["waived"] = len(report.waived)
     assert report.files_analyzed > 50  # really swept the whole package
-    # The committed tree analyses clean under the committed waivers
-    # and ratchet baseline.
+    # The committed tree analyses clean under the committed waivers.
     assert report.ok, [f.render() for f in report.findings]
     # Hard interactivity budget: a full-tree run (all three timed
     # rounds included) stays well under ten seconds.

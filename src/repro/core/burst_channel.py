@@ -247,7 +247,6 @@ class IccSMTBurst:
         self._second_calibrators = {
             first: Calibrator(samples)
             for first, samples in by_first.items()
-            if len({s for s, _ in samples}) >= 1
         }
 
     # -- transfer -----------------------------------------------------------------

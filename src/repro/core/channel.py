@@ -26,6 +26,7 @@ from repro.core.encoding import (
 )
 from repro.core.levels import (
     ChannelLocation,
+    ROBUST_SYMBOL_BITS,
     ROBUST_SYMBOLS,
     SYMBOL_BITS,
     bit_for_robust_symbol,
@@ -375,13 +376,13 @@ class CovertChannel(abc.ABC):
             return 0.0
         return faults.extra_slot_slack_ns()
 
-    def _fresh_schedule(self, n_slots: int) -> SlotSchedule:
+    def _fresh_schedule(self) -> SlotSchedule:
         """A slot schedule starting one quiet slot from now.
 
         The leading quiet slot guarantees the hysteresis window of any
-        earlier activity has expired before slot 0 begins.
+        earlier activity has expired before slot 0 begins.  The
+        schedule has no length: slots are consumed in order.
         """
-        del n_slots  # length is implicit; slots are consumed in order
         jitter_ns = us_to_ns(self.config.slot_jitter_us)
         slot = self.slot_ns + jitter_ns  # keep the reset-time honoured
         epoch = self.system.now + slot
@@ -395,7 +396,7 @@ class CovertChannel(abc.ABC):
         """Transmit a raw symbol stream; returns per-slot probe readings."""
         if not symbols:
             raise ProtocolError("symbol stream is empty")
-        schedule = self._fresh_schedule(len(symbols))
+        schedule = self._fresh_schedule()
         measurements: List[Optional[float]] = [None] * len(symbols)
         self._spawn_transaction_programs(schedule, list(symbols), measurements)
         end = (schedule.slot_start(len(symbols)) + self.slot_ns
@@ -476,48 +477,7 @@ class CovertChannel(abc.ABC):
 
     def transfer(self, payload: bytes) -> TransferReport:
         """Send ``payload`` and decode it; calibrates first if needed."""
-        if not payload:
-            raise ProtocolError("payload is empty")
-        retrained = False
-        full_ladder = tuple(sorted(self.symbol_classes))
-        if self._calibrator is None or self._calibrated_symbols != full_ladder:
-            self.calibrate()
-            retrained = True
-        assert self._calibrator is not None
-        symbols = bytes_to_symbols(payload)
-        start = self.system.now
-        readings = self.run_symbols(symbols)
-        decoded = self._calibrator.decode_all(readings)
-        if len(decoded) != len(symbols):
-            raise ProtocolError(
-                f"receiver decoded {len(decoded)} symbols for "
-                f"{len(symbols)} sent; the slot streams diverged"
-            )
-        report = TransferReport(
-            sent=payload,
-            received=symbols_to_bytes(decoded),
-            symbols_sent=symbols,
-            symbols_received=decoded,
-            measurements_tsc=readings,
-            start_ns=start,
-            end_ns=self.system.now,
-            location=self.location,
-            retraining=retrained,
-        )
-        tracer = _obs()
-        if tracer.enabled:
-            tracer.metrics.counter("channel.transfers").inc()
-            tracer.metrics.histogram("channel.transfer_ber").observe(report.ber)
-            tracer.complete(
-                "channel.transfer", "channel", start, report.elapsed_ns,
-                track="channel",
-                args={"bytes": len(payload), "bits": report.bits,
-                      "bit_errors": report.bit_errors,
-                      "ber": round(report.ber, 6),
-                      "location": self.location.name,
-                      "retrained": retrained},
-            )
-        return report
+        return self._transfer(payload, robust=False)
 
     def transfer_robust(self, payload: bytes) -> TransferReport:
         """Send ``payload`` with degraded two-level signalling.
@@ -529,16 +489,28 @@ class CovertChannel(abc.ABC):
         degradation when the four-level SNR collapses under faults.
         Calibrates (on the two robust levels only) when needed.
         """
+        return self._transfer(payload, robust=True)
+
+    def _transfer(self, payload: bytes, robust: bool) -> TransferReport:
+        """One transfer on the full ladder or, if ``robust``, on two levels.
+
+        Retrains whenever the fitted calibrator learned other levels than
+        the ones this mode signals with.
+        """
         if not payload:
             raise ProtocolError("payload is empty")
+        if robust:
+            ladder = ROBUST_SYMBOLS
+            symbols = [robust_symbol_for_bit(bit)
+                       for bit in bytes_to_bits(payload)]
+        else:
+            ladder = tuple(sorted(self.symbol_classes))
+            symbols = bytes_to_symbols(payload)
         retrained = False
-        if (self._calibrator is None
-                or self._calibrated_symbols != ROBUST_SYMBOLS):
-            self.calibrate(symbols=ROBUST_SYMBOLS)
+        if self._calibrator is None or self._calibrated_symbols != ladder:
+            self.calibrate(symbols=ladder)
             retrained = True
         assert self._calibrator is not None
-        symbols = [robust_symbol_for_bit(bit)
-                   for bit in bytes_to_bits(payload)]
         start = self.system.now
         readings = self.run_symbols(symbols)
         decoded = self._calibrator.decode_all(readings)
@@ -547,7 +519,11 @@ class CovertChannel(abc.ABC):
                 f"receiver decoded {len(decoded)} symbols for "
                 f"{len(symbols)} sent; the slot streams diverged"
             )
-        received = bits_to_bytes([bit_for_robust_symbol(s) for s in decoded])
+        if robust:
+            received = bits_to_bytes(
+                [bit_for_robust_symbol(s) for s in decoded])
+        else:
+            received = symbols_to_bytes(decoded)
         report = TransferReport(
             sent=payload,
             received=received,
@@ -558,14 +534,17 @@ class CovertChannel(abc.ABC):
             end_ns=self.system.now,
             location=self.location,
             retraining=retrained,
-            bits_per_symbol=1,
+            bits_per_symbol=ROBUST_SYMBOL_BITS if robust else SYMBOL_BITS,
         )
         tracer = _obs()
         if tracer.enabled:
-            tracer.metrics.counter("channel.transfers_robust").inc()
+            counter, span = (
+                ("channel.transfers_robust", "channel.transfer_robust")
+                if robust else ("channel.transfers", "channel.transfer"))
+            tracer.metrics.counter(counter).inc()
             tracer.metrics.histogram("channel.transfer_ber").observe(report.ber)
             tracer.complete(
-                "channel.transfer_robust", "channel", start, report.elapsed_ns,
+                span, "channel", start, report.elapsed_ns,
                 track="channel",
                 args={"bytes": len(payload), "bits": report.bits,
                       "bit_errors": report.bit_errors,

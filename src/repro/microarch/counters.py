@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
-
-import numpy as np
+from typing import Dict
 
 from repro.errors import MeasurementError
 
@@ -77,53 +75,6 @@ class CounterBank:
         """Zero every counter."""
         for pmc in self._values:
             self._values[pmc] = 0
-
-    def as_array(self, order: Sequence[PMC] = tuple(PMC)) -> np.ndarray:
-        """Counter values as an int64 vector in ``order``.
-
-        The batch-analysis entry point: a sweep stacks one row per
-        snapshot and differences whole columns at once instead of
-        dict-by-dict.
-        """
-        return np.asarray([self._values[pmc] for pmc in order],
-                          dtype=np.int64)
-
-
-def delta_matrix(snapshots: Sequence[Dict[PMC, int]],
-                 order: Sequence[PMC] = tuple(PMC)) -> np.ndarray:
-    """Row-wise deltas between consecutive snapshots, vectorized.
-
-    ``snapshots`` is a time-ordered sequence of :meth:`CounterBank.snapshot`
-    dicts; returns an ``(n-1, len(order))`` int64 array where row ``i``
-    is ``snapshots[i+1] - snapshots[i]`` in ``order``.  Raises if any
-    counter runs backwards, matching :meth:`CounterBank.delta`.
-    """
-    if len(snapshots) < 2:
-        return np.empty((0, len(order)), dtype=np.int64)
-    stacked = np.asarray(
-        [[snap.get(pmc, 0) for pmc in order] for snap in snapshots],
-        dtype=np.int64)
-    deltas = np.diff(stacked, axis=0)
-    if deltas.size and int(deltas.min()) < 0:
-        rows, cols = np.nonzero(deltas < 0)
-        pmc = tuple(order)[int(cols[0])]
-        raise MeasurementError(
-            f"{pmc.value} went backwards between snapshots "
-            f"{int(rows[0])} and {int(rows[0]) + 1}"
-        )
-    return deltas
-
-
-def normalized_undelivered_array(deltas: np.ndarray,
-                                 order: Sequence[PMC] = tuple(PMC),
-                                 width: int = 4) -> np.ndarray:
-    """Vectorized :func:`normalized_undelivered` over a delta matrix."""
-    order = tuple(order)
-    cycles = deltas[:, order.index(PMC.CPU_CLK_UNHALTED)]
-    if deltas.size and int(cycles.min()) <= 0:
-        raise MeasurementError("a region has no unhalted cycles")
-    undelivered = deltas[:, order.index(PMC.IDQ_UOPS_NOT_DELIVERED)]
-    return undelivered / (width * cycles)
 
 
 def normalized_undelivered(delta: Dict[PMC, int], width: int = 4) -> float:

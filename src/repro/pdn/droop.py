@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
 
 
@@ -78,27 +76,6 @@ class DroopModel:
             return steady
         transient = step * self.spec.transient_impedance_mohm / 1000.0
         return steady - transient
-
-    def load_voltage_min_array(self, rail_v: np.ndarray,
-                               icc_before: np.ndarray,
-                               icc_after: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`load_voltage_min` over step arrays.
-
-        Applies the scalar formula elementwise (same guard, same
-        filter-threshold branch via ``np.where``); float64 lanes match
-        the scalar results bit for bit.
-        """
-        rail_v = np.asarray(rail_v, dtype=float)
-        before = np.asarray(icc_before, dtype=float)
-        after = np.asarray(icc_after, dtype=float)
-        if (before.size and float(before.min()) < 0) or (
-                after.size and float(after.min()) < 0):
-            raise ConfigError("currents must be >= 0")
-        steady = rail_v - self.r_ll_ohm * after
-        step = after - before
-        transient = step * self.spec.transient_impedance_mohm / 1000.0
-        return np.where(step <= self.spec.filter_step_a,
-                        steady, steady - transient)
 
     def is_emergency(self, rail_v: float, icc_before: float,
                      icc_after: float, vcc_min: float) -> bool:

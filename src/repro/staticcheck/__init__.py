@@ -5,8 +5,8 @@ before comparison with ``now_ns``, that every heap entry needs a
 monotone tiebreak, or that a ``SweepRunner`` task must be a picklable
 module-level function.  This package encodes those project invariants
 as *passes* over per-module ASTs plus a lightweight intra-function
-dataflow layer, behind one driver with waivers, a ratchet baseline, and
-text/JSON/SARIF reporters:
+dataflow layer, behind one driver with waivers and text/JSON/SARIF
+reporters:
 
 * :mod:`repro.staticcheck.passes.dimensional` — unit-tag dataflow
   (mixing ns with us, passing us where ns is expected, time/frequency
@@ -16,9 +16,6 @@ text/JSON/SARIF reporters:
   unordered-set iteration);
 * :mod:`repro.staticcheck.passes.poolsafety` — process-pool safety
   (unpicklable callables, worker-side global mutation);
-* :mod:`repro.staticcheck.passes.kernelsafety` — trace-recorder hot
-  paths (per-item callbacks, order-dependent float accumulation,
-  object arrays);
 * :mod:`repro.staticcheck.passes.goldenflow` — mapping-layer golden
   contracts (round-trip completeness, digest-stable emission,
   SystemOptions forwarding coverage);
@@ -26,16 +23,10 @@ text/JSON/SARIF reporters:
   equality on physics, mutable defaults, hints/docstrings).
 
 Run it with ``python -m repro.staticcheck [paths] [--format text|json|
-sarif] [--rule ID] [--baseline FILE]``.  Each module is parsed once
+sarif] [--rule ID] [--waivers FILE]``.  Each module is parsed once
 and every selected pass runs over it in one serial loop.
 """
 
-from repro.staticcheck.baseline import (  # noqa: F401
-    describe_stale_entry,
-    load_baseline,
-    refresh_command,
-    save_baseline,
-)
 from repro.staticcheck.context import (  # noqa: F401
     FunctionSig,
     ModuleContext,
@@ -80,9 +71,8 @@ __all__ = [
     "Finding", "FunctionSig", "ModuleContext", "Pass", "PassTiming",
     "ProjectContext", "Report", "Rule", "Severity", "UnitTag", "Waiver",
     "all_passes", "all_rules", "analyze_paths", "analyze_source",
-    "default_root", "default_waivers_path", "describe_stale_entry",
-    "expand_selection", "get_pass", "load_baseline", "load_waivers",
-    "parse_waivers", "refresh_command", "register", "render",
-    "rule_ids", "rule_owners", "save_baseline", "scan_function",
-    "tag_of_identifier", "to_json", "to_sarif",
+    "default_root", "default_waivers_path", "expand_selection",
+    "get_pass", "load_waivers", "parse_waivers", "register", "render",
+    "rule_ids", "rule_owners", "scan_function", "tag_of_identifier",
+    "to_json", "to_sarif",
 ]

@@ -17,7 +17,7 @@ import enum
 import fnmatch
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 
 @enum.unique
@@ -48,9 +48,9 @@ class Severity(enum.Enum):
 class Finding:
     """One diagnostic: a rule violated at a source location.
 
-    Waivers and baseline entries match on ``rule``, ``path`` and
-    ``source`` (the stripped source line), never on the line number;
-    ``severity`` and ``fix_hint`` are additive.
+    Waivers match on ``rule``, ``path`` and ``source`` (the offending
+    source line), never on the line number; ``severity`` and
+    ``fix_hint`` are additive.
     """
 
     rule: str
@@ -126,31 +126,23 @@ class PassTiming:
 class Report:
     """Outcome of one analysis run, split by suppression status.
 
-    ``findings`` are live (unsuppressed) diagnostics; ``waived`` and
-    ``baselined`` were matched by a waiver or a baseline entry;
-    ``unused_waivers`` / ``unused_baseline`` are suppressions that
-    matched nothing and should be deleted before they rot.
+    ``findings`` are live (unwaived) diagnostics of every severity;
+    ``waived`` were matched by a waiver; ``unused_waivers`` are waivers
+    that matched nothing and should be deleted before they rot.
     """
 
     findings: List[Finding] = field(default_factory=list)
     waived: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     unused_waivers: List[Waiver] = field(default_factory=list)
-    #: Stale baseline entries as ``{"rule", "path", "source"}`` dicts.
-    unused_baseline: List[Dict[str, str]] = field(default_factory=list)
     #: How many files the run analysed (for the summary line).
     files_analyzed: int = 0
     #: Per-pass wall-clock timings, in pass registration order.
     timings: List[PassTiming] = field(default_factory=list)
-    #: The baseline file this run applied, for the stale-entry hint.
-    baseline_path: Optional[str] = None
-    #: The analysed root paths as given, for the stale-entry hint.
-    roots: Tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
-        """True when no live findings and no stale baseline entries remain."""
-        return not self.findings and not self.unused_baseline
+        """True when no live finding remains, whatever its severity."""
+        return not self.findings
 
     def counts_by_rule(self) -> "dict[str, int]":
         """Live finding count per rule id, sorted by rule."""

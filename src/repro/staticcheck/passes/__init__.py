@@ -9,8 +9,7 @@ from repro.staticcheck.passes import determinism  # noqa: F401
 from repro.staticcheck.passes import dimensional  # noqa: F401
 from repro.staticcheck.passes import goldenflow  # noqa: F401
 from repro.staticcheck.passes import hygiene  # noqa: F401
-from repro.staticcheck.passes import kernelsafety  # noqa: F401
 from repro.staticcheck.passes import poolsafety  # noqa: F401
 
 __all__ = ["determinism", "dimensional", "goldenflow", "hygiene",
-           "kernelsafety", "poolsafety"]
+           "poolsafety"]

@@ -12,8 +12,9 @@ waivers keep working:
     Mutable default arguments (``def f(x=[])``) — shared state across
     calls is both a bug magnet and a determinism leak.
 
-Two advisory rules new to the framework (severity *note*: reported,
-never gating, and baselined for the existing tree):
+Two documentation rules new to the framework.  Their severity *note*
+is only the level their SARIF results carry; it does not exempt them
+from the gate: like every other finding, an unwaived one fails the run.
 
 ``missing-hints``
     A public function or method with unannotated parameters or return.

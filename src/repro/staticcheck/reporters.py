@@ -12,7 +12,6 @@ import hashlib
 import json
 from typing import Any, Dict
 
-from repro.staticcheck.baseline import describe_stale_entry, refresh_command
 from repro.staticcheck.model import Report
 from repro.staticcheck.registry import all_rules, rule_owners
 
@@ -30,20 +29,13 @@ def render_text(report: Report, verbose: bool = False) -> str:
         lines.append(finding.render_long() if verbose else finding.render())
     for waiver in report.unused_waivers:
         lines.append(f"warning: unused waiver '{waiver.render()}'")
-    for entry in report.unused_baseline:
-        lines.append(
-            f"error: stale baseline entry: {describe_stale_entry(entry)}")
-    if report.unused_baseline:
-        lines.append(
-            f"hint: delete the stale entries, or re-record the baseline "
-            f"with: {refresh_command(report.roots, report.baseline_path)}")
     counts = report.counts_by_rule()
     summary = (", ".join(f"{rule}: {count}" for rule, count in counts.items())
                if counts else "clean")
     lines.append(
         f"{len(report.findings)} finding(s) in {report.files_analyzed} "
         f"file(s) [{summary}] "
-        f"({len(report.waived)} waived, {len(report.baselined)} baselined)")
+        f"({len(report.waived)} waived)")
     return "\n".join(lines)
 
 
@@ -65,15 +57,12 @@ def to_json(report: Report) -> Dict[str, Any]:
         "files_analyzed": report.files_analyzed,
         "findings": [finding_dict(f) for f in report.findings],
         "waived": [finding_dict(f) for f in report.waived],
-        "baselined": [finding_dict(f) for f in report.baselined],
         "unused_waivers": [w.render() for w in report.unused_waivers],
-        "unused_baseline": list(report.unused_baseline),
         "timings": [
             {"pass": t.pass_name, "wall_ms": t.wall_ms,
              "modules": t.modules, "findings": t.findings}
             for t in report.timings
         ],
-        "baseline_path": report.baseline_path,
         "ok": report.ok,
     }
 

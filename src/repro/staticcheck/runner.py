@@ -7,7 +7,7 @@ Orchestration order:
    tables) from the parsed modules;
 3. run each selected pass over every module in one serial loop,
    recording its wall time in ``Report.timings``;
-4. filter to the selected rules, sort, then apply waivers and baseline.
+4. filter to the selected rules, sort, then apply waivers.
 
 ``analyze_source`` is the single-snippet entry the fixture tests use;
 ``analyze_paths`` is the full-tree entry behind the CLI, the CI gate
@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.staticcheck.baseline import apply_baseline, load_baseline
 from repro.staticcheck.context import ModuleContext, ProjectContext
 from repro.staticcheck.model import Finding, PassTiming, Report, Waiver
 from repro.staticcheck.registry import expand_selection, passes_for
@@ -105,9 +104,8 @@ def analyze_source(source: str, path: str = "<string>",
 def analyze_paths(paths: Optional[Sequence[Path]] = None,
                   rules: Optional[Iterable[str]] = None,
                   waivers: Optional[Iterable[Waiver]] = None,
-                  waivers_path: Optional[Path] = None,
-                  baseline_path: Optional[Path] = None) -> Report:
-    """Full analysis of source trees with waivers and baseline applied.
+                  waivers_path: Optional[Path] = None) -> Report:
+    """Full analysis of source trees with waivers applied.
 
     ``paths`` defaults to the installed ``repro`` package sources.
     ``waivers`` wins over ``waivers_path``; with neither given the repo
@@ -121,10 +119,7 @@ def analyze_paths(paths: Optional[Sequence[Path]] = None,
     if selected is not None:
         selected = expand_selection(selected)
 
-    report = Report(files_analyzed=len(modules),
-                    baseline_path=(str(baseline_path)
-                                   if baseline_path is not None else None),
-                    roots=tuple(str(p) for p in roots))
+    report = Report(files_analyzed=len(modules))
     findings = run_passes(modules, rules=selected, timings=report.timings)
 
     if waivers is not None:
@@ -136,7 +131,6 @@ def analyze_paths(paths: Optional[Sequence[Path]] = None,
         waiver_list = [w for w in waiver_list if w.rule in wanted]
 
     used: Dict[int, bool] = {}
-    unwaived: List[Finding] = []
     for finding in findings:
         matched = False
         for index, waiver in enumerate(waiver_list):
@@ -144,15 +138,9 @@ def analyze_paths(paths: Optional[Sequence[Path]] = None,
                 used[index] = True
                 matched = True
                 break
-        (report.waived if matched else unwaived).append(finding)
+        (report.waived if matched else report.findings).append(finding)
     report.unused_waivers = [
         waiver for index, waiver in enumerate(waiver_list)
         if index not in used
     ]
-
-    entries = load_baseline(baseline_path)
-    new, covered, unused = apply_baseline(unwaived, entries)
-    report.findings = new
-    report.baselined = covered
-    report.unused_baseline = unused
     return report

@@ -2,7 +2,7 @@
 
 Default run order (each stage independently skippable)::
 
-    lint          src/repro against staticcheck's source-level rules
+    lint          src/repro against every staticcheck rule
     differential  fast path vs reference equivalence checks
     goldens       canonical scenarios vs committed golden digests
     audit         hash-seed / worker-count / cache-state variations
@@ -28,12 +28,6 @@ from repro.verify.audit import audit_all
 from repro.verify.differential import run_all as run_differential
 from repro.verify.goldens import check_all, update_goldens
 from repro.verify.scenarios import SCENARIOS, compute_digest, scenario_names
-
-#: The rules the lint stage enforces: seeded RNGs, no wall clock in the
-#: simulator core, no exact float equality on physics, no mutable
-#: defaults.  ``python -m repro.staticcheck`` runs the full rule set.
-LINT_RULES = ("unseeded-rng", "global-rng", "wall-clock", "float-eq",
-              "mutable-default")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,7 +94,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if not args.skip_lint:
         print("== lint ==")
-        report = analyze_paths(rules=LINT_RULES, waivers_path=args.waivers)
+        report = analyze_paths(waivers_path=args.waivers)
         lines = [finding.render() for finding in report.findings]
         lines += [f"warning: unused waiver '{waiver.render()}'"
                   for waiver in report.unused_waivers]

@@ -331,7 +331,7 @@ class TestRunMatchesPerCycleOracle:
 
 
 class TestArrayHelpers:
-    """Vectorized counter/TSC forms must match their scalar references."""
+    """Vectorized TSC reads must match their scalar references."""
 
     def test_tsc_read_array_matches_scalar(self):
         import numpy as np
@@ -357,66 +357,3 @@ class TestArrayHelpers:
 
         with pytest.raises(ConfigError):
             TimestampCounter(1.0).read_array(np.asarray([0.0, -1.0]))
-
-    def test_counter_bank_as_array_follows_order(self):
-        import numpy as np
-
-        bank = CounterBank()
-        bank.add(PMC.CPU_CLK_UNHALTED, 400)
-        bank.add(PMC.IDQ_UOPS_NOT_DELIVERED, 1200)
-        order = (PMC.IDQ_UOPS_NOT_DELIVERED, PMC.CPU_CLK_UNHALTED)
-        assert list(bank.as_array(order)) == [1200, 400]
-        assert bank.as_array().dtype == np.int64
-
-    def test_delta_matrix_matches_pairwise_delta(self):
-        from repro.microarch.counters import delta_matrix
-
-        bank = CounterBank()
-        snapshots = [bank.snapshot()]
-        for step in (100, 250, 75):
-            bank.add(PMC.CPU_CLK_UNHALTED, step)
-            bank.add(PMC.IDQ_UOPS_NOT_DELIVERED, step * 3)
-            snapshots.append(bank.snapshot())
-        order = tuple(PMC)
-        matrix = delta_matrix(snapshots, order)
-        assert matrix.shape == (3, len(order))
-        for row, (before, after) in zip(
-                matrix, zip(snapshots, snapshots[1:])):
-            expected = {pmc: after[pmc] - before[pmc] for pmc in order}
-            assert list(row) == [expected[pmc] for pmc in order]
-
-    def test_delta_matrix_rejects_backwards_counters(self):
-        from repro.microarch.counters import delta_matrix
-
-        good = {pmc: 10 for pmc in PMC}
-        bad = dict(good)
-        bad[PMC.CPU_CLK_UNHALTED] = 5
-        with pytest.raises(MeasurementError):
-            delta_matrix([good, bad])
-
-    def test_normalized_undelivered_array_matches_scalar(self):
-        from repro.microarch.counters import (
-            delta_matrix,
-            normalized_undelivered_array,
-        )
-
-        bank = CounterBank()
-        snapshots = [bank.snapshot()]
-        for cycles, undelivered in ((100, 300), (50, 10), (400, 1600)):
-            bank.add(PMC.CPU_CLK_UNHALTED, cycles)
-            bank.add(PMC.IDQ_UOPS_NOT_DELIVERED, undelivered)
-            snapshots.append(bank.snapshot())
-        matrix = delta_matrix(snapshots)
-        fractions = normalized_undelivered_array(matrix)
-        for row, fraction in zip(matrix, fractions):
-            delta = {pmc: int(v) for pmc, v in zip(tuple(PMC), row)}
-            assert float(fraction) == normalized_undelivered(delta)
-
-    def test_normalized_undelivered_array_rejects_zero_cycles(self):
-        import numpy as np
-
-        from repro.microarch.counters import normalized_undelivered_array
-
-        zeros = np.zeros((1, len(tuple(PMC))), dtype=np.int64)
-        with pytest.raises(MeasurementError):
-            normalized_undelivered_array(zeros)

@@ -1,5 +1,5 @@
-"""Framework mechanics: registry, waivers, baseline, reporters, CLI,
-and parsing each module once per run."""
+"""Framework mechanics: registry, waivers, reporters, CLI, and parsing
+each module once per run."""
 
 import json
 import textwrap
@@ -16,9 +16,7 @@ from repro.staticcheck import (
     analyze_source,
     parse_waivers,
     rule_ids,
-    save_baseline,
 )
-from repro.staticcheck.baseline import apply_baseline, load_baseline
 from repro.staticcheck.__main__ import main
 from repro.staticcheck.context import ModuleContext
 from repro.staticcheck.registry import (
@@ -44,7 +42,7 @@ class TestRegistry:
     def test_builtin_passes_registered(self):
         names = {p.name for p in all_passes()}
         assert names == {"dimensional", "determinism", "poolsafety",
-                         "hygiene", "kernelsafety", "goldenflow"}
+                         "hygiene", "goldenflow"}
 
     def test_every_rule_has_unique_owner(self):
         ids = rule_ids()
@@ -103,6 +101,17 @@ class TestWaiverIntegration:
         report = analyze_paths(paths=[src], waivers=waivers)
         assert len(report.unused_waivers) == 1
         assert "unused waiver" in render_text(report)
+
+    def test_committed_tree_clean_with_waivers_only(self):
+        """Every rule, tests/lint_waivers.txt as the only suppression,
+        and every committed waiver still covers a real finding."""
+        from repro.staticcheck.waivers import default_waivers_path, load_waivers
+
+        waivers = load_waivers(default_waivers_path())
+        report = analyze_paths(waivers=waivers)
+        assert report.ok, render_text(report)
+        assert report.unused_waivers == [], render_text(report)
+        assert len(report.waived) >= len(waivers)
 
 
 class TestWaiverGrammarEdgeCases:
@@ -175,57 +184,6 @@ class TestWaiverGrammarEdgeCases:
         assert parse_waivers(rendered) == first
 
 
-class TestBaseline:
-    def _findings(self):
-        return analyze_source(BAD_MODULE, "repro/core/example_mod.py")
-
-    def test_round_trip_suppresses_known_findings(self, tmp_path):
-        findings = self._findings()
-        assert findings  # the fixture must actually trip rules
-        path = tmp_path / "baseline.json"
-        count = save_baseline(findings, path)
-        assert count == len(load_baseline(path))
-        new, covered, unused = apply_baseline(findings, load_baseline(path))
-        assert new == [] and unused == []
-        assert len(covered) == len(findings)
-
-    def test_baseline_matching_is_line_number_independent(self, tmp_path):
-        findings = self._findings()
-        path = tmp_path / "baseline.json"
-        save_baseline(findings, path)
-        shifted = [
-            Finding(rule=f.rule, path=f.path, line=f.line + 40,
-                    message=f.message, source=f.source,
-                    severity=f.severity, fix_hint=f.fix_hint)
-            for f in findings
-        ]
-        new, covered, unused = apply_baseline(shifted, load_baseline(path))
-        assert new == [] and unused == []
-
-    def test_stale_entries_are_reported(self, tmp_path):
-        findings = self._findings()
-        path = tmp_path / "baseline.json"
-        save_baseline(findings, path)
-        new, covered, unused = apply_baseline([], load_baseline(path))
-        assert len(unused) == len(findings)
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("[1, 2, 3]", encoding="utf-8")
-        with pytest.raises(ConfigError, match="entries"):
-            load_baseline(path)
-
-    def test_committed_baseline_has_no_stale_entries(self, tmp_path):
-        """The repo tree must use every committed baseline entry."""
-        from repro.staticcheck.runner import default_root
-
-        repo_baseline = (default_root().parent.parent
-                         / "tests" / "staticcheck_baseline.json")
-        report = analyze_paths(baseline_path=repo_baseline)
-        assert report.unused_baseline == [], report.unused_baseline
-        assert report.ok, render_text(report)
-
-
 class TestReporters:
     def test_text_summary_counts_by_rule(self):
         findings = analyze_source(BAD_MODULE, "repro/core/example_mod.py")
@@ -261,45 +219,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[unit-mix]" in out and "[heap-tiebreak]" in out
 
+    def test_note_finding_alone_exits_one(self, tmp_path, capsys):
+        """Severity *note* does not exempt a finding from the gate."""
+        src = tmp_path / "undocumented_mod.py"
+        src.write_text('"""Module doc."""\n\n\ndef scale(x):\n'
+                       '    return 2 * x\n', encoding="utf-8")
+        assert main([str(src), "--no-waivers", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["findings"]
+        assert {f["severity"] for f in payload["findings"]} == {"note"}
+        assert payload["ok"] is False
+
     def test_rule_filter(self, tmp_path, capsys):
         src = tmp_path / "bad_mod.py"
         src.write_text(BAD_MODULE, encoding="utf-8")
         assert main([str(src), "--no-waivers", "--rule", "unit-mix"]) == 1
         out = capsys.readouterr().out
         assert "[unit-mix]" in out and "heap-tiebreak" not in out
-
-    def test_baseline_flow_end_to_end(self, tmp_path, capsys):
-        src = tmp_path / "bad_mod.py"
-        src.write_text(BAD_MODULE, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert main([str(src), "--no-waivers",
-                     "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        # With the baseline applied the same tree is green...
-        assert main([str(src), "--no-waivers",
-                     "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        # ...and once the file is fixed, the stale entries fail the run.
-        src.write_text('"""Clean now."""\n', encoding="utf-8")
-        assert main([str(src), "--no-waivers",
-                     "--baseline", str(baseline)]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
-
-    def test_stale_baseline_message_names_rule_path_and_command(
-            self, tmp_path, capsys):
-        src = tmp_path / "bad_mod.py"
-        src.write_text(BAD_MODULE, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert main([str(src), "--no-waivers",
-                     "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        src.write_text('"""Clean now."""\n', encoding="utf-8")
-        assert main([str(src), "--no-waivers",
-                     "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "stale baseline entry" in out
-        assert "unit-mix" in out and "bad_mod.py" in out
-        assert f"--write-baseline {baseline}" in out
 
     def test_json_report_carries_timings(self, tmp_path, capsys):
         root = tmp_path / "pkg"
@@ -321,6 +257,7 @@ class TestCli:
         for rule_id in ("unit-mix", "heap-tiebreak", "pool-callable",
                         "float-eq"):
             assert rule_id in out
+        assert len(out.strip().splitlines()) == len(all_rules())
 
     def test_output_file(self, tmp_path):
         src = tmp_path / "clean_mod.py"

@@ -470,101 +470,6 @@ class TestMissingDoc:
         assert findings == []
 
 
-class TestKernelCallback:
-    def test_flags_hoisted_bound_method_in_loop(self):
-        findings = check("""
-            def flush(trace, entries):
-                record = trace.record
-                for t, v in entries:
-                    record(t, v)
-        """, path="repro/soc/kernel.py", rules=["kernel-callback"])
-        assert rules_of(findings) == {"kernel-callback"}
-
-    def test_flags_callable_table_dispatch_in_loop(self):
-        findings = check("""
-            def flush(traces, entries):
-                records = [trace.record for trace in traces]
-                for core, (t, v) in enumerate(entries):
-                    records[core](t, v)
-        """, path="repro/soc/kernel.py", rules=["kernel-callback"])
-        assert rules_of(findings) == {"kernel-callback"}
-
-    def test_accepts_calls_outside_loops(self):
-        findings = check("""
-            def flush_one(trace, t, v):
-                record = trace.record
-                record(t, v)
-        """, path="repro/soc/kernel.py", rules=["kernel-callback"])
-        assert findings == []
-
-    def test_inactive_off_the_hot_path(self):
-        findings = check("""
-            def flush(trace, entries):
-                record = trace.record
-                for t, v in entries:
-                    record(t, v)
-        """, rules=["kernel-callback"])
-        assert findings == []
-
-
-class TestKernelFloatAccum:
-    def test_flags_augmented_float_accumulation_in_loop(self):
-        findings = check("""
-            def total_power(samples):
-                total = 0.0
-                for value in samples:
-                    total += value * 1.3
-                return total
-        """, path="repro/soc/kernel.py", rules=["kernel-float-accum"])
-        assert rules_of(findings) == {"kernel-float-accum"}
-
-    def test_flags_builtin_sum(self):
-        findings = check("""
-            def total_power(samples):
-                return sum(samples)
-        """, path="repro/soc/kernel.py", rules=["kernel-float-accum"])
-        assert rules_of(findings) == {"kernel-float-accum"}
-
-    def test_accepts_integer_counter_bumps(self):
-        findings = check("""
-            def count(entries):
-                index = 0
-                for entry in entries:
-                    index += 1
-                return index
-        """, path="repro/soc/kernel.py", rules=["kernel-float-accum"])
-        assert findings == []
-
-
-class TestKernelObjectDtype:
-    def test_flags_object_dtype_keyword(self):
-        findings = check("""
-            import numpy as np
-
-            def pack(values):
-                return np.asarray(values, dtype=object)
-        """, path="repro/soc/kernel.py", rules=["kernel-object-dtype"])
-        assert rules_of(findings) == {"kernel-object-dtype"}
-
-    def test_flags_object_dtype_string(self):
-        findings = check("""
-            import numpy as np
-
-            def pack(values):
-                return np.array(values, dtype="object")
-        """, path="repro/soc/kernel.py", rules=["kernel-object-dtype"])
-        assert rules_of(findings) == {"kernel-object-dtype"}
-
-    def test_accepts_numeric_dtypes(self):
-        findings = check("""
-            import numpy as np
-
-            def pack(values):
-                return np.asarray(values, dtype=float)
-        """, path="repro/soc/kernel.py", rules=["kernel-object-dtype"])
-        assert findings == []
-
-
 class TestRuleSelection:
     def test_rule_filter_excludes_other_passes(self):
         findings = check("""

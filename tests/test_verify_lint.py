@@ -13,17 +13,21 @@ from repro.staticcheck import (
     parse_waivers,
     render,
 )
-from repro.verify.__main__ import LINT_RULES
+
+#: The source-level rules the fixtures below exercise.  The lint stage
+#: itself runs every registered rule.
+FIXTURE_RULES = ("unseeded-rng", "global-rng", "wall-clock", "float-eq",
+                 "mutable-default")
 
 
 def lint(source, path="repro/core/example.py"):
-    """Run the lint-stage rules on a dedented snippet at a virtual path."""
-    return analyze_source(textwrap.dedent(source), path, rules=LINT_RULES)
+    """Run the fixture rules on a dedented snippet at a virtual path."""
+    return analyze_source(textwrap.dedent(source), path, rules=FIXTURE_RULES)
 
 
 def lint_paths():
-    """The lint stage's full-tree run over src/repro."""
-    return analyze_paths(rules=LINT_RULES)
+    """The lint stage's full-tree run over src/repro: every rule."""
+    return analyze_paths()
 
 
 def rules_of(findings):
@@ -221,6 +225,26 @@ class TestRepoLint:
         report = lint_paths()
         assert len(report.waived) >= 3
 
+    def test_verify_lint_stage_runs_every_pass(self, monkeypatch, capsys):
+        """The verify gate's lint stage is the full rule set, not a subset."""
+        import repro.verify.__main__ as verify_main
+        from repro.staticcheck.registry import passes_for
+
+        reports = []
+
+        def recording(*args, **kwargs):
+            reports.append(analyze_paths(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(verify_main, "analyze_paths", recording)
+        assert verify_main.main(["--skip-differential", "--skip-goldens",
+                                 "--skip-audit"]) == 0
+        assert "lint clean" in capsys.readouterr().out
+        (report,) = reports
+        assert ([t.pass_name for t in report.timings]
+                == [p.name for p in passes_for(None)])
+
     def test_syntax_error_raises_config_error(self):
         with pytest.raises(ConfigError, match="cannot parse"):
-            analyze_source("def broken(:\n", "repro/x.py", rules=LINT_RULES)
+            analyze_source("def broken(:\n", "repro/x.py",
+                           rules=FIXTURE_RULES)
