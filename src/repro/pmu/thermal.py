@@ -66,8 +66,8 @@ class ThermalModel:
 
     def __post_init__(self) -> None:
         # Unset sentinel: an exact-zero start temperature means "begin at
-        # ambient".  Epsilon-compared — bare float equality on physical
-        # quantities is banned by the staticcheck rule float-eq.
+        # ambient".  Epsilon-compared: exact equality on a derived
+        # physical quantity would hide float drift.
         if abs(self.temperature_c) < 1e-12:
             self.temperature_c = self.spec.t_ambient_c
 

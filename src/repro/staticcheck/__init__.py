@@ -1,12 +1,12 @@
-"""Plugin-based static analysis for the simulator's own invariants.
+"""Static analysis for the simulator's own invariants.
 
 Generic linters cannot know that ``idle_close_us`` must be converted
 before comparison with ``now_ns``, that every heap entry needs a
-monotone tiebreak, or that a ``SweepRunner`` task must be a picklable
-module-level function.  This package encodes those project invariants
-as *passes* over per-module ASTs plus a lightweight intra-function
-dataflow layer, behind one driver with waivers and text/JSON/SARIF
-reporters:
+monotone tiebreak, or that a spec field must survive the mapping
+round-trip into a golden digest.  This package encodes those project
+invariants as three *passes* over per-module ASTs plus a lightweight
+intra-function dataflow layer, behind one driver with waivers and
+text/JSON reporters:
 
 * :mod:`repro.staticcheck.passes.dimensional` — unit-tag dataflow
   (mixing ns with us, passing us where ns is expected, time/frequency
@@ -14,17 +14,13 @@ reporters:
 * :mod:`repro.staticcheck.passes.determinism` — simulated-time
   determinism (unseeded RNGs, wall-clock reads, heap tiebreaks,
   unordered-set iteration);
-* :mod:`repro.staticcheck.passes.poolsafety` — process-pool safety
-  (unpicklable callables, worker-side global mutation);
 * :mod:`repro.staticcheck.passes.goldenflow` — mapping-layer golden
   contracts (round-trip completeness, digest-stable emission,
-  SystemOptions forwarding coverage);
-* :mod:`repro.staticcheck.passes.hygiene` — API hygiene (float
-  equality on physics, mutable defaults, hints/docstrings).
+  SystemOptions forwarding coverage).
 
-Run it with ``python -m repro.staticcheck [paths] [--format text|json|
-sarif] [--rule ID] [--waivers FILE]``.  Each module is parsed once
-and every selected pass runs over it in one serial loop.
+Run it with ``python -m repro.staticcheck [paths] [--format text|json]
+[--rule ID] [--waivers FILE]``.  Each module is parsed once and every
+selected pass runs over it in one serial loop.
 """
 
 from repro.staticcheck.context import (  # noqa: F401
@@ -39,23 +35,20 @@ from repro.staticcheck.dataflow import (  # noqa: F401
 )
 from repro.staticcheck.model import (  # noqa: F401
     Finding,
+    Pass,
     PassTiming,
     Report,
+    Rule,
     Severity,
     Waiver,
 )
-from repro.staticcheck.registry import (  # noqa: F401
-    Pass,
-    Rule,
-    all_passes,
+from repro.staticcheck.passes import (  # noqa: F401
+    PASSES,
     all_rules,
     expand_selection,
-    get_pass,
-    register,
-    rule_ids,
-    rule_owners,
+    passes_for,
 )
-from repro.staticcheck.reporters import render, to_json, to_sarif  # noqa: F401
+from repro.staticcheck.reporters import render, to_json  # noqa: F401
 from repro.staticcheck.runner import (  # noqa: F401
     analyze_paths,
     analyze_source,
@@ -68,11 +61,10 @@ from repro.staticcheck.waivers import (  # noqa: F401
 )
 
 __all__ = [
-    "Finding", "FunctionSig", "ModuleContext", "Pass", "PassTiming",
-    "ProjectContext", "Report", "Rule", "Severity", "UnitTag", "Waiver",
-    "all_passes", "all_rules", "analyze_paths", "analyze_source",
+    "PASSES", "Finding", "FunctionSig", "ModuleContext", "Pass",
+    "PassTiming", "ProjectContext", "Report", "Rule", "Severity",
+    "UnitTag", "Waiver", "all_rules", "analyze_paths", "analyze_source",
     "default_root", "default_waivers_path", "expand_selection",
-    "get_pass", "load_waivers", "parse_waivers", "register", "render",
-    "rule_ids", "rule_owners", "scan_function", "tag_of_identifier",
-    "to_json", "to_sarif",
+    "load_waivers", "parse_waivers", "passes_for", "render",
+    "scan_function", "tag_of_identifier", "to_json",
 ]

@@ -1,5 +1,8 @@
 """Command-line front end: ``python -m repro.staticcheck``.
 
+Runs the ``dimensional``, ``determinism`` and ``goldenflow`` passes
+(or the ``--rule`` subset) and prints a text or JSON report.
+
 Exit status is 0 when the tree is clean (waived findings allowed), 1
 when any unwaived finding remains, whatever its severity, and 2 on
 configuration errors (unknown rules, unreadable waivers, unparsable
@@ -14,7 +17,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import ConfigError
-from repro.staticcheck.registry import all_rules, expand_selection
+from repro.staticcheck.passes import all_rules, expand_selection
 from repro.staticcheck.reporters import render
 from repro.staticcheck.runner import analyze_paths, default_root
 from repro.staticcheck.waivers import default_waivers_path
@@ -24,14 +27,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.staticcheck",
         description="Project-invariant static analysis "
-                    "(dimensional, determinism, pool-safety, "
-                    "golden-flow, hygiene).")
+                    "(dimensional, determinism, golden-flow).")
     parser.add_argument(
         "paths", nargs="*", type=Path,
         help="files or directories to analyse "
              "(default: the installed repro package)")
     parser.add_argument(
-        "--format", dest="fmt", choices=("text", "json", "sarif"),
+        "--format", dest="fmt", choices=("text", "json"),
         default="text", help="report format (default: text)")
     parser.add_argument(
         "--rule", action="append", default=None, metavar="ID",
@@ -51,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="multi-line findings with source and fix hints (text format)")
     parser.add_argument(
         "--list-rules", action="store_true",
-        help="print the registered rules and exit")
+        help="print every rule and exit")
     return parser
 
 

@@ -93,39 +93,6 @@ class ModuleContext:
         parts = self.package_parts()
         return bool(parts) and parts[0] in tuple(names)
 
-    def imported_module_names(self) -> Set[str]:
-        """Local names bound to modules by top-level imports.
-
-        Used to tell ``module.function`` references (fine to hand to a
-        process pool) apart from bound methods on instances (not fine).
-        """
-        names: Set[str] = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    names.add(alias.asname or alias.name.split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                # ``from x import y`` may bind a submodule; treating every
-                # from-import as module-ish would hide bound methods, so
-                # only plain ``import`` counts.
-                continue
-        return names
-
-    def module_level_names(self) -> Set[str]:
-        """Names assigned at module scope (the module's globals)."""
-        names: Set[str] = set()
-        for node in self.tree.body:
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = [node.target]
-            for target in targets:
-                for leaf in ast.walk(target):
-                    if isinstance(leaf, ast.Name):
-                        names.add(leaf.id)
-        return names
-
 
 def _is_dataclass_def(node: ast.ClassDef) -> bool:
     """Whether a class def carries a ``@dataclass`` decorator."""

@@ -487,15 +487,12 @@ def scan_function(fn: ast.AST, project: "ProjectContext") -> List[Event]:
 
 @dataclass
 class LocalBindings:
-    """Per-function name classification used by the pool-safety pass.
+    """Per-function name classification used by the determinism pass.
 
     A second, much simpler dataflow: which local names are bound to
-    lambdas, to nested function definitions, or to freshly-built sets
-    (for the unordered-iteration rule).
+    freshly-built sets (for the unordered-iteration rule).
     """
 
-    lambdas: Dict[str, ast.AST] = field(default_factory=dict)
-    local_functions: Dict[str, ast.AST] = field(default_factory=dict)
     sets: Dict[str, ast.AST] = field(default_factory=dict)
 
 
@@ -504,16 +501,9 @@ def local_bindings(fn: ast.AST) -> LocalBindings:
     bindings = LocalBindings()
     body = getattr(fn, "body", [])
     for stmt in body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            bindings.local_functions[stmt.name] = stmt
-            continue
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
             target = stmt.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            if isinstance(stmt.value, ast.Lambda):
-                bindings.lambdas[target.id] = stmt.value
-            elif _is_set_expr(stmt.value):
+            if isinstance(target, ast.Name) and _is_set_expr(stmt.value):
                 bindings.sets[target.id] = stmt.value
     return bindings
 

@@ -1,10 +1,11 @@
 """Core data model of the static-analysis framework.
 
 Everything a pass produces or a reporter consumes lives here: the
-:class:`Severity` ladder, the :class:`Finding` record (one diagnostic at
-one source location, with a machine-applicable *fix hint*), the
-:class:`Waiver` record (one deliberate, reviewed exception), and the
-:class:`Report` aggregate a full analysis run returns.
+:class:`Severity` levels, the :class:`Rule` metadata and :class:`Pass`
+interface every pass implements, the :class:`Finding` record (one
+diagnostic at one source location, with a machine-applicable *fix
+hint*), the :class:`Waiver` record (one deliberate, reviewed exception),
+and the :class:`Report` aggregate a full analysis run returns.
 
 The model is deliberately independent of both the AST layer and the
 reporters so that new output formats (or new front ends) never touch the
@@ -17,31 +18,36 @@ import enum
 import fnmatch
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional, Protocol, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.staticcheck.context import ModuleContext, ProjectContext
 
 
 @enum.unique
 class Severity(enum.Enum):
-    """How bad a finding is, from definite defect down to style.
+    """How bad a finding is: a definite defect, or a likely one.
 
-    The three levels map one-to-one onto SARIF's ``error``/``warning``/
-    ``note`` result levels, so the CI annotations keep the same triage
-    order as the terminal report.
+    Severity is triage information only; any unwaived finding fails
+    the run.
     """
 
     ERROR = "error"
     WARNING = "warning"
-    NOTE = "note"
 
-    @property
-    def sarif_level(self) -> str:
-        """The SARIF ``level`` string for this severity."""
-        return self.value
 
-    @property
-    def rank(self) -> int:
-        """Sort key: errors first, notes last."""
-        return {"error": 0, "warning": 1, "note": 2}[self.value]
+@dataclass(frozen=True)
+class Rule:
+    """Metadata of one rule id a pass can emit.
+
+    ``default_severity`` and ``default_fix_hint`` seed the findings;
+    ``summary`` feeds ``--list-rules``.
+    """
+
+    id: str
+    summary: str
+    default_severity: Severity = Severity.WARNING
+    default_fix_hint: str = ""
 
 
 @dataclass(frozen=True)
@@ -77,13 +83,30 @@ class Finding:
         return "\n".join(lines)
 
 
+class Pass(Protocol):
+    """The interface every analysis pass implements."""
+
+    #: Unique pass name (``dimensional``, ``determinism``, ...).
+    name: str
+    #: The rules this pass can emit, in reporting order.
+    rules: Tuple[Rule, ...]
+
+    def run(self, ctx: "ModuleContext",
+            project: "ProjectContext") -> List[Finding]:
+        """Analyse one module and return its findings."""
+        ...  # pragma: no cover - protocol body
+
+
 @dataclass(frozen=True)
 class Waiver:
     """One deliberate exception from a waiver file.
 
     Grammar (one per line): ``rule path-glob [substring]`` — the rule id,
-    an fnmatch glob (or suffix) over the finding's posix path, and an
-    optional substring that must appear in the offending source line.
+    an fnmatch glob over the finding's posix path (or a suffix of it
+    starting at a ``/``: ``measure/sampler.py`` waives
+    ``repro/measure/sampler.py`` but not ``repro/measure/resampler.py``),
+    and an optional substring that must appear in the offending source
+    line.
     """
 
     rule: str
@@ -96,7 +119,7 @@ class Waiver:
             return False
         path = finding.path.replace(os.sep, "/")
         if not (fnmatch.fnmatch(path, self.path_glob)
-                or path.endswith(self.path_glob)):
+                or path.endswith("/" + self.path_glob)):
             return False
         if self.substring is not None and self.substring not in finding.source:
             return False
@@ -136,7 +159,7 @@ class Report:
     unused_waivers: List[Waiver] = field(default_factory=list)
     #: How many files the run analysed (for the summary line).
     files_analyzed: int = 0
-    #: Per-pass wall-clock timings, in pass registration order.
+    #: Per-pass wall-clock timings, in pass order.
     timings: List[PassTiming] = field(default_factory=list)
 
     @property

@@ -40,8 +40,7 @@ from typing import List, Sequence, Set, Tuple
 
 from repro.staticcheck.context import ModuleContext, ProjectContext
 from repro.staticcheck.dataflow import local_bindings
-from repro.staticcheck.model import Finding, Severity
-from repro.staticcheck.registry import Pass, Rule, register
+from repro.staticcheck.model import Finding, Rule, Severity
 
 #: Top-level ``repro`` subpackages that form the simulator core — the
 #: only places the wall-clock rule applies (runner/obs are host-side).
@@ -64,7 +63,6 @@ def _is_set_expr(node: ast.AST) -> bool:
             and node.func.id in ("set", "frozenset"))
 
 
-@register
 class DeterminismPass:
     """Flags sources of run-to-run nondeterminism."""
 

@@ -35,8 +35,7 @@ from typing import List, Tuple
 
 from repro.staticcheck.context import ModuleContext, ProjectContext
 from repro.staticcheck.dataflow import Event, scan_function
-from repro.staticcheck.model import Finding, Severity
-from repro.staticcheck.registry import Pass, Rule, register
+from repro.staticcheck.model import Finding, Rule, Severity
 
 
 def _label(event: Event) -> Tuple[str, str]:
@@ -46,7 +45,6 @@ def _label(event: Event) -> Tuple[str, str]:
     return left, right
 
 
-@register
 class DimensionalPass:
     """Flags unit-mixing arithmetic, comparisons, calls and returns."""
 

@@ -42,8 +42,7 @@ from repro.staticcheck.context import (
     _dataclass_field_names,
     _is_dataclass_def,
 )
-from repro.staticcheck.model import Finding, Severity
-from repro.staticcheck.registry import Pass, Rule, register
+from repro.staticcheck.model import Finding, Rule, Severity
 
 #: Pinned unconditional-emission contracts: exactly the keys each
 #: class's ``to_mapping`` emits on *every* call.  These sets are part
@@ -183,7 +182,6 @@ def _self_chain(value: ast.expr) -> Optional[Tuple[str, str]]:
     return None
 
 
-@register
 class GoldenFlowPass:
     """Checks the mapping layer's round-trip and digest contracts."""
 

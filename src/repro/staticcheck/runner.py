@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.staticcheck.context import ModuleContext, ProjectContext
 from repro.staticcheck.model import Finding, PassTiming, Report, Waiver
-from repro.staticcheck.registry import expand_selection, passes_for
+from repro.staticcheck.passes import expand_selection, passes_for
 from repro.staticcheck.waivers import load_waivers
 
 

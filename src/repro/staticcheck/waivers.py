@@ -17,7 +17,7 @@ from typing import Iterable, List, Optional
 
 from repro.errors import ConfigError
 from repro.staticcheck.model import Waiver
-from repro.staticcheck.registry import all_rules
+from repro.staticcheck.passes import all_rules
 
 
 def parse_waivers(text: str,
@@ -27,7 +27,7 @@ def parse_waivers(text: str,
     Each non-comment line is ``rule path-glob [substring...]``; the
     substring (everything after the second field) must appear in the
     offending source line for the waiver to apply.  Rule ids are
-    validated against ``allowed_rules`` (default: every registered rule).
+    validated against ``allowed_rules`` (default: every rule).
     """
     valid = tuple(allowed_rules) if allowed_rules is not None \
         else tuple(all_rules())

@@ -18,8 +18,8 @@ not a tolerance judgement call.  This package implements that gate:
   pytest-benchmark artifacts.
 
 Run the whole gate with ``python -m repro.verify``; its lint stage runs
-the source-level determinism and hygiene rules of
-:mod:`repro.staticcheck`.  See ``docs/VERIFICATION.md``.
+every rule of :mod:`repro.staticcheck` (the dimensional, determinism
+and goldenflow passes).  See ``docs/VERIFICATION.md``.
 """
 
 from repro.verify.audit import AuditCheck, AuditReport, audit_all, audit_scenario

@@ -28,10 +28,10 @@ class TestDynamics:
         assert model.read(0.0) == pytest.approx(45.0)
 
     def test_unset_sentinel_tolerates_float_noise(self):
-        """The 'start at ambient' sentinel is epsilon-compared (the
-        float-eq lint rule bans bare equality): a start temperature
-        within 1e-12 of zero still means 'begin at ambient', while a
-        genuine explicit start temperature is preserved."""
+        """The 'start at ambient' sentinel is epsilon-compared (exact
+        equality on derived physics would hide float drift): a start
+        temperature within 1e-12 of zero still means 'begin at ambient',
+        while a genuine explicit start temperature is preserved."""
         spec = ThermalSpec(t_ambient_c=45.0, tj_max_c=100.0)
         noisy = ThermalModel(spec, temperature_c=1e-13)
         assert noisy.temperature_c == pytest.approx(45.0)

@@ -1,5 +1,5 @@
-"""Framework mechanics: registry, waivers, reporters, CLI, and parsing
-each module once per run."""
+"""Framework mechanics: the pass tuple, waivers, reporters, CLI, and
+parsing each module once per run."""
 
 import json
 import textwrap
@@ -8,22 +8,18 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.staticcheck import (
+    PASSES,
     Finding,
     Severity,
-    all_passes,
+    Waiver,
     all_rules,
     analyze_paths,
     analyze_source,
+    expand_selection,
     parse_waivers,
-    rule_ids,
+    passes_for,
 )
 from repro.staticcheck.__main__ import main
-from repro.staticcheck.context import ModuleContext
-from repro.staticcheck.registry import (
-    expand_selection,
-    passes_for,
-    validate_rules,
-)
 from repro.staticcheck.reporters import render_text, to_json
 
 BAD_MODULE = textwrap.dedent("""
@@ -40,14 +36,14 @@ BAD_MODULE = textwrap.dedent("""
 
 class TestRegistry:
     def test_builtin_passes_registered(self):
-        names = {p.name for p in all_passes()}
-        assert names == {"dimensional", "determinism", "poolsafety",
-                         "hygiene", "goldenflow"}
+        names = [p.name for p in PASSES]
+        assert names == ["determinism", "dimensional", "goldenflow"]
 
     def test_every_rule_has_unique_owner(self):
-        ids = rule_ids()
+        ids = [rule.id for p in PASSES for rule in p.rules]
         assert len(ids) == len(set(ids))
-        assert "unit-mix" in ids and "pool-callable" in ids
+        assert list(all_rules()) == ids
+        assert "unit-mix" in ids and "golden-emit" in ids
 
     def test_rules_carry_severity_and_fix_hint(self):
         for rule in all_rules().values():
@@ -60,7 +56,7 @@ class TestRegistry:
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigError, match="unknown rule"):
-            validate_rules(["no-such-rule"])
+            passes_for(["no-such-rule"])
 
 
 class TestSelectionExpansion:
@@ -81,8 +77,8 @@ class TestSelectionExpansion:
 class TestWaiverIntegration:
     def test_new_rule_ids_are_valid_in_waiver_files(self):
         waivers = parse_waivers("unit-mix repro/pdn/*.py\n"
-                                "pool-callable repro/runner/sweep.py\n")
-        assert [w.rule for w in waivers] == ["unit-mix", "pool-callable"]
+                                "golden-emit repro/scenarios/spec.py\n")
+        assert [w.rule for w in waivers] == ["unit-mix", "golden-emit"]
 
     def test_waiver_suppresses_finding(self, tmp_path):
         src = tmp_path / "example_mod.py"
@@ -102,13 +98,14 @@ class TestWaiverIntegration:
         assert len(report.unused_waivers) == 1
         assert "unused waiver" in render_text(report)
 
-    def test_committed_tree_clean_with_waivers_only(self):
+    def test_committed_tree_clean_with_waivers_only(self, full_tree_run):
         """Every rule, tests/lint_waivers.txt as the only suppression,
         and every committed waiver still covers a real finding."""
         from repro.staticcheck.waivers import default_waivers_path, load_waivers
 
         waivers = load_waivers(default_waivers_path())
-        report = analyze_paths(waivers=waivers)
+        report = full_tree_run.report
+        assert [t.pass_name for t in report.timings] == [p.name for p in PASSES]
         assert report.ok, render_text(report)
         assert report.unused_waivers == [], render_text(report)
         assert len(report.waived) >= len(waivers)
@@ -119,9 +116,9 @@ class TestWaiverGrammarEdgeCases:
 
     def test_second_rule_id_on_a_line_becomes_the_path_glob(self):
         """One line waives ONE rule; a second id is read as the glob."""
-        waivers = parse_waivers("float-eq unit-mix\n")
+        waivers = parse_waivers("wall-clock unit-mix\n")
         assert len(waivers) == 1
-        assert waivers[0].rule == "float-eq"
+        assert waivers[0].rule == "wall-clock"
         assert waivers[0].path_glob == "unit-mix"
         finding = Finding(rule="unit-mix", path="repro/core/mod.py",
                           line=1, message="m", source="s")
@@ -129,7 +126,7 @@ class TestWaiverGrammarEdgeCases:
 
     def test_substring_keeps_internal_whitespace(self):
         waivers = parse_waivers(
-            "float-eq repro/x.py if times and t == times[-1]\n")
+            "wall-clock repro/x.py if times and t == times[-1]\n")
         assert waivers[0].substring == "if times and t == times[-1]"
 
     def test_unknown_rule_is_a_config_error(self):
@@ -138,7 +135,7 @@ class TestWaiverGrammarEdgeCases:
 
     def test_single_field_line_is_a_config_error(self):
         with pytest.raises(ConfigError, match="expected 'rule"):
-            parse_waivers("float-eq\n")
+            parse_waivers("wall-clock\n")
 
     def test_waiver_on_a_multi_finding_line_is_rule_scoped(self, tmp_path):
         """Two rules fire on one line; waiving one leaves the other."""
@@ -147,16 +144,15 @@ class TestWaiverGrammarEdgeCases:
             """Doc."""
 
 
-            def check(vcc_v: float, vdd_v: float,
-                      idle_ns: float, close_us: float) -> bool:
+            def check(idle_ns: float, close_us: float) -> float:
                 """Doc."""
-                return vcc_v == vdd_v or idle_ns > close_us
+                return idle_ns + close_us if idle_ns > close_us else 0.0
         '''), encoding="utf-8")
-        waivers = parse_waivers("float-eq example_mod.py\n")
+        waivers = parse_waivers("unit-mix example_mod.py\n")
         report = analyze_paths(paths=[src], waivers=waivers,
-                               rules=["float-eq", "unit-compare"])
+                               rules=["unit-mix", "unit-compare"])
         assert [f.rule for f in report.findings] == ["unit-compare"]
-        assert [f.rule for f in report.waived] == ["float-eq"]
+        assert [f.rule for f in report.waived] == ["unit-mix"]
         assert report.findings[0].line == report.waived[0].line
         assert report.unused_waivers == []
 
@@ -179,9 +175,22 @@ class TestWaiverGrammarEdgeCases:
         path = default_waivers_path()
         assert path is not None, "tests/lint_waivers.txt missing"
         first = parse_waivers(path.read_text(encoding="utf-8"))
-        assert first, "committed waiver file should not be empty"
         rendered = "\n".join(w.render() for w in first) + "\n"
         assert parse_waivers(rendered) == first
+
+    def test_path_suffix_matches_only_at_a_directory_boundary(self):
+        """``sampler.py`` waives ``.../sampler.py``, never ``resampler.py``."""
+        waiver = Waiver("wall-clock", "sampler.py")
+
+        def at(path):
+            return Finding(rule="wall-clock", path=path, line=1,
+                           message="m", source="s")
+
+        assert waiver.matches(at("sampler.py"))
+        assert waiver.matches(at("repro/measure/sampler.py"))
+        assert Waiver("wall-clock", "measure/sampler.py").matches(
+            at("repro/measure/sampler.py"))
+        assert not waiver.matches(at("repro/measure/resampler.py"))
 
 
 class TestReporters:
@@ -219,15 +228,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[unit-mix]" in out and "[heap-tiebreak]" in out
 
-    def test_note_finding_alone_exits_one(self, tmp_path, capsys):
-        """Severity *note* does not exempt a finding from the gate."""
-        src = tmp_path / "undocumented_mod.py"
-        src.write_text('"""Module doc."""\n\n\ndef scale(x):\n'
-                       '    return 2 * x\n', encoding="utf-8")
+    def test_warning_finding_alone_exits_one(self, tmp_path, capsys):
+        """Severity *warning* does not exempt a finding from the gate."""
+        src = tmp_path / "unordered_mod.py"
+        src.write_text('"""Module doc."""\n\n\ndef total(xs):\n'
+                       '    """Doc."""\n'
+                       '    return [x for x in set(xs)]\n', encoding="utf-8")
         assert main([str(src), "--no-waivers", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"]
-        assert {f["severity"] for f in payload["findings"]} == {"note"}
+        assert {f["severity"] for f in payload["findings"]} == {"warning"}
         assert payload["ok"] is False
 
     def test_rule_filter(self, tmp_path, capsys):
@@ -246,7 +256,7 @@ class TestCli:
         assert main([str(root), "--no-waivers", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         timings = {t["pass"]: t for t in payload["timings"]}
-        assert set(timings) == {p.name for p in all_passes()}
+        assert set(timings) == {p.name for p in PASSES}
         assert all(t["modules"] == 2 for t in timings.values())
         assert timings["dimensional"]["findings"] >= 1
         assert timings["determinism"]["findings"] >= 1
@@ -254,10 +264,9 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("unit-mix", "heap-tiebreak", "pool-callable",
-                        "float-eq"):
-            assert rule_id in out
-        assert len(out.strip().splitlines()) == len(all_rules())
+        listed = [line.split()[0] for line in out.strip().splitlines()]
+        assert listed == [rule.id for p in PASSES for rule in p.rules]
+        assert len(listed) == 13
 
     def test_output_file(self, tmp_path):
         src = tmp_path / "clean_mod.py"
@@ -269,20 +278,10 @@ class TestCli:
 
 
 class TestParseOnce:
-    def test_full_tree_run_parses_each_module_once(self, monkeypatch):
+    def test_full_tree_run_parses_each_module_once(self, full_tree_run):
         """Every pass shares one parse of each module."""
-        from repro.staticcheck.runner import default_root
-
-        calls = []
-        original = ModuleContext.from_source.__func__
-
-        def counting(cls, source, path):
-            calls.append(path)
-            return original(cls, source, path)
-
-        monkeypatch.setattr(ModuleContext, "from_source",
-                            classmethod(counting))
-        report = analyze_paths(paths=[default_root()])
+        calls = full_tree_run.parsed
+        report = full_tree_run.report
         assert report.files_analyzed > 50
         assert len(calls) == report.files_analyzed
         assert len(set(calls)) == len(calls)

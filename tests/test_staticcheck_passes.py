@@ -249,227 +249,6 @@ class TestUnorderedIter:
         assert findings == []
 
 
-class TestPoolCallable:
-    def test_flags_lambda_task(self):
-        findings = check("""
-            def sweep(runner, grid):
-                return runner.map(lambda kw: kw, grid)
-        """, rules=["pool-callable"])
-        assert rules_of(findings) == {"pool-callable"}
-
-    def test_flags_lambda_bound_to_name(self):
-        findings = check("""
-            def sweep(runner, grid):
-                task = lambda kw: kw
-                return runner.map(task, grid)
-        """, rules=["pool-callable"])
-        assert rules_of(findings) == {"pool-callable"}
-
-    def test_flags_locally_defined_task(self):
-        findings = check("""
-            def sweep(runner, grid):
-                def task(**kw):
-                    return kw
-                return runner.map(task, grid)
-        """, rules=["pool-callable"])
-        assert rules_of(findings) == {"pool-callable"}
-
-    def test_flags_bound_method_task(self):
-        findings = check("""
-            def sweep(runner, model, grid):
-                return runner.map(model.evaluate, grid)
-        """, rules=["pool-callable"])
-        assert rules_of(findings) == {"pool-callable"}
-
-    def test_flags_lambda_to_executor_submit(self):
-        findings = check("""
-            def launch(executor, x):
-                return executor.submit(lambda: x + 1)
-        """, rules=["pool-callable"])
-        assert rules_of(findings) == {"pool-callable"}
-
-    def test_accepts_module_level_task(self):
-        findings = check("""
-            def task(**kw):
-                return kw
-
-            def sweep(runner, grid):
-                return runner.map(task, grid)
-        """, rules=["pool-callable"])
-        assert findings == []
-
-    def test_accepts_imported_module_function(self):
-        findings = check("""
-            import math
-
-            def sweep(runner, grid):
-                return runner.map(math.sqrt, grid)
-        """, rules=["pool-callable"])
-        assert findings == []
-
-    def test_ignores_non_pool_map(self):
-        findings = check("""
-            def render(template, rows):
-                return template.map(lambda r: r, rows)
-        """, rules=["pool-callable"])
-        assert findings == []
-
-
-class TestPoolGlobal:
-    def test_flags_global_statement_in_task(self):
-        findings = check("""
-            COUNTER = 0
-
-            def task(**kw):
-                global COUNTER
-                COUNTER += 1
-                return kw
-
-            def sweep(runner, grid):
-                return runner.map(task, grid)
-        """, rules=["pool-global"])
-        assert rules_of(findings) == {"pool-global"}
-
-    def test_flags_append_to_module_global(self):
-        findings = check("""
-            RESULTS = []
-
-            def task(**kw):
-                RESULTS.append(kw)
-                return kw
-
-            def sweep(runner, grid):
-                return runner.map(task, grid)
-        """, rules=["pool-global"])
-        assert rules_of(findings) == {"pool-global"}
-
-    def test_flags_subscript_store_into_module_global(self):
-        findings = check("""
-            TABLE = {}
-
-            def task(key, value):
-                TABLE[key] = value
-                return value
-
-            def sweep(runner, grid):
-                return runner.map(task, grid)
-        """, rules=["pool-global"])
-        assert rules_of(findings) == {"pool-global"}
-
-    def test_accepts_pure_task(self):
-        findings = check("""
-            def task(**kw):
-                local = dict(kw)
-                local["x"] = 1
-                return local
-
-            def sweep(runner, grid):
-                return runner.map(task, grid)
-        """, rules=["pool-global"])
-        assert findings == []
-
-    def test_ignores_functions_never_dispatched(self):
-        findings = check("""
-            CACHE = {}
-
-            def warm(key, value):
-                CACHE[key] = value
-        """, rules=["pool-global"])
-        assert findings == []
-
-
-class TestPoolUnpicklable:
-    def test_flags_lambda_in_dispatch_kwargs(self):
-        findings = check("""
-            def task(**kw):
-                return kw
-
-            def sweep(runner, grid):
-                return runner.map(task, grid, reduce=lambda a, b: a + b)
-        """, rules=["pool-unpicklable"])
-        assert rules_of(findings) == {"pool-unpicklable"}
-
-    def test_accepts_plain_value_arguments(self):
-        findings = check("""
-            def task(**kw):
-                return kw
-
-            def sweep(runner, grid):
-                return runner.map(task, grid, jobs=4)
-        """, rules=["pool-unpicklable"])
-        assert findings == []
-
-
-class TestMissingHints:
-    def test_flags_unannotated_public_function(self):
-        findings = check("""
-            def compute(x, y):
-                \"\"\"Docstring present; hints absent.\"\"\"
-                return x + y
-        """, rules=["missing-hints"])
-        assert rules_of(findings) == {"missing-hints"}
-
-    def test_accepts_fully_annotated_function(self):
-        findings = check("""
-            def compute(x: float, y: float) -> float:
-                \"\"\"Fully annotated.\"\"\"
-                return x + y
-        """, rules=["missing-hints"])
-        assert findings == []
-
-    def test_ignores_private_and_nested_functions(self):
-        findings = check("""
-            def _helper(x, y):
-                return x + y
-
-            def outer() -> int:
-                \"\"\"Nested defs are not public API.\"\"\"
-                def inner(a, b):
-                    return a + b
-                return inner(1, 2)
-        """, rules=["missing-hints"])
-        assert findings == []
-
-
-class TestMissingDoc:
-    def test_flags_undocumented_module_class_function(self):
-        findings = check("""
-            class Widget:
-                pass
-
-            def spin() -> None:
-                pass
-        """, rules=["missing-doc"])
-        assert len(findings) == 3  # module, class, function
-
-    def test_accepts_documented_api(self):
-        findings = check("""
-            \"\"\"Module docstring.\"\"\"
-
-            class Widget:
-                \"\"\"A widget.\"\"\"
-
-            def spin() -> None:
-                \"\"\"Spin it.\"\"\"
-        """, rules=["missing-doc"])
-        assert findings == []
-
-    def test_ignores_dunder_methods(self):
-        findings = check("""
-            \"\"\"Module docstring.\"\"\"
-
-            class Widget:
-                \"\"\"A widget.\"\"\"
-
-                def __init__(self) -> None:
-                    self.x = 1
-
-                def __len__(self) -> int:
-                    return self.x
-        """, rules=["missing-doc"])
-        assert findings == []
-
-
 class TestRuleSelection:
     def test_rule_filter_excludes_other_passes(self):
         findings = check("""

@@ -7,27 +7,21 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.staticcheck import (
+    PASSES,
     Waiver,
-    analyze_paths,
     analyze_source,
     parse_waivers,
     render,
 )
 
 #: The source-level rules the fixtures below exercise.  The lint stage
-#: itself runs every registered rule.
-FIXTURE_RULES = ("unseeded-rng", "global-rng", "wall-clock", "float-eq",
-                 "mutable-default")
+#: itself runs every rule.
+FIXTURE_RULES = ("unseeded-rng", "global-rng", "wall-clock")
 
 
 def lint(source, path="repro/core/example.py"):
     """Run the fixture rules on a dedented snippet at a virtual path."""
     return analyze_source(textwrap.dedent(source), path, rules=FIXTURE_RULES)
-
-
-def lint_paths():
-    """The lint stage's full-tree run over src/repro: every rule."""
-    return analyze_paths()
 
 
 def rules_of(findings):
@@ -114,74 +108,22 @@ class TestWallClock:
         assert lint(source, path="repro/obs/example.py") == []
 
 
-class TestFloatEq:
-    def test_flags_physical_vs_float_literal(self):
-        findings = lint("""
-            def check(vcc_mv):
-                return vcc_mv == 0.0
-        """)
-        assert rules_of(findings) == {"float-eq"}
-
-    def test_flags_two_physical_sides(self):
-        findings = lint("""
-            def check(t_start_ns, t_end_ns):
-                return t_start_ns != t_end_ns
-        """)
-        assert rules_of(findings) == {"float-eq"}
-
-    def test_accepts_epsilon_comparison(self):
-        findings = lint("""
-            def check(vcc_mv):
-                return abs(vcc_mv) < 1e-12
-        """)
-        assert findings == []
-
-    def test_accepts_non_physical_equality(self):
-        findings = lint("""
-            def check(p, count):
-                return p == 0.0 or count == 3
-        """)
-        assert findings == []
-
-    def test_accepts_integer_literal_on_counter(self):
-        findings = lint("""
-            def check(retries):
-                return retries == 0
-        """)
-        assert findings == []
-
-
-class TestMutableDefault:
-    def test_flags_list_and_dict_defaults(self):
-        findings = lint("""
-            def f(items=[], table={}):
-                return items, table
-        """)
-        assert [f.rule for f in findings] == ["mutable-default"] * 2
-
-    def test_flags_constructor_defaults(self):
-        findings = lint("""
-            def f(items=list()):
-                return items
-        """)
-        assert rules_of(findings) == {"mutable-default"}
-
-    def test_accepts_none_and_tuples(self):
-        findings = lint("""
-            def f(items=None, pair=(1, 2), name="x"):
-                return items, pair, name
-        """)
-        assert findings == []
+#: One wall-clock finding when linted under a simulator-core path.
+WALL_CLOCK_SOURCE = """
+    import time
+    def now():
+        return time.time()
+"""
 
 
 class TestWaivers:
     def test_parse_and_match(self):
         waivers = parse_waivers(
             "# comment\n"
-            "float-eq repro/measure/sampler.py t == times[-1]\n"
+            "wall-clock repro/pdn/regulator.py t0 = time.time()\n"
             "wall-clock repro/pdn/*.py\n")
         assert len(waivers) == 2
-        assert waivers[0].substring == "t == times[-1]"
+        assert waivers[0].substring == "t0 = time.time()"
         assert waivers[1].substring is None
 
     def test_unknown_rule_rejected(self):
@@ -190,59 +132,51 @@ class TestWaivers:
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="expected"):
-            parse_waivers("float-eq\n")
+            parse_waivers("wall-clock\n")
 
     def test_waiver_requires_matching_substring(self):
-        findings = lint("""
-            def check(vcc_mv):
-                return vcc_mv == 0.0
-        """)
-        hit = Waiver("float-eq", "repro/core/example.py", "vcc_mv == 0.0")
-        miss = Waiver("float-eq", "repro/core/example.py", "unrelated text")
+        findings = lint(WALL_CLOCK_SOURCE, path="repro/pdn/example.py")
+        hit = Waiver("wall-clock", "repro/pdn/example.py", "time.time()")
+        miss = Waiver("wall-clock", "repro/pdn/example.py", "unrelated text")
         assert hit.matches(findings[0])
         assert not miss.matches(findings[0])
 
     def test_waiver_requires_matching_rule_and_path(self):
-        findings = lint("""
-            def check(vcc_mv):
-                return vcc_mv == 0.0
-        """)
-        assert not Waiver("wall-clock", "repro/core/example.py").matches(
+        findings = lint(WALL_CLOCK_SOURCE, path="repro/pdn/example.py")
+        assert not Waiver("global-rng", "repro/pdn/example.py").matches(
             findings[0])
-        assert not Waiver("float-eq", "repro/pdn/other.py").matches(
+        assert not Waiver("wall-clock", "repro/pdn/other.py").matches(
             findings[0])
 
 
 class TestRepoLint:
-    def test_repo_is_clean_under_committed_waivers(self):
+    def test_repo_is_clean_under_committed_waivers(self, full_tree_run):
         """src/repro has no unwaived violations and no stale waivers."""
-        report = lint_paths()
+        report = full_tree_run.report
         assert report.ok, render(report, "text")
         assert report.unused_waivers == [], render(report, "text")
 
-    def test_repo_waivers_are_exercised(self):
-        """Every committed waiver still covers a real finding."""
-        report = lint_paths()
-        assert len(report.waived) >= 3
-
-    def test_verify_lint_stage_runs_every_pass(self, monkeypatch, capsys):
+    def test_verify_lint_stage_runs_every_pass(self, monkeypatch, capsys,
+                                               full_tree_run):
         """The verify gate's lint stage is the full rule set, not a subset."""
         import repro.verify.__main__ as verify_main
-        from repro.staticcheck.registry import passes_for
 
-        reports = []
+        calls = []
 
         def recording(*args, **kwargs):
-            reports.append(analyze_paths(*args, **kwargs))
-            return reports[-1]
+            calls.append((args, kwargs))
+            return full_tree_run.report
 
         monkeypatch.setattr(verify_main, "analyze_paths", recording)
         assert verify_main.main(["--skip-differential", "--skip-goldens",
                                  "--skip-audit"]) == 0
         assert "lint clean" in capsys.readouterr().out
-        (report,) = reports
-        assert ([t.pass_name for t in report.timings]
-                == [p.name for p in passes_for(None)])
+        ((args, kwargs),) = calls
+        assert args == () and kwargs.get("rules") is None
+        assert kwargs.get("paths") is None
+        # The shared report is that same no-subset call: every pass ran.
+        assert ([t.pass_name for t in full_tree_run.report.timings]
+                == [p.name for p in PASSES])
 
     def test_syntax_error_raises_config_error(self):
         with pytest.raises(ConfigError, match="cannot parse"):
