@@ -34,9 +34,11 @@ from repro.core import (
     IccSMTcovert,
     IccThreadCovert,
     SessionConfig,
+    SlotSchedule,
+    bytes_to_symbols,
 )
 from repro.core.baselines import DFSCovert, NetSpectreGadget, PowerT, TurboCC
-from repro.core.channel import ChannelConfig, CovertChannel
+from repro.core.channel import CovertChannel, run_slots
 from repro.errors import CalibrationError, ConfigError, ProtocolError
 from repro.faults import parse_fault_spec
 from repro.isa.instructions import IClass
@@ -959,41 +961,28 @@ def multi_pair_interference(payload: bytes = b"\x5a\x3c\xc3\x0f",
     flavour: covert channel capacity on a shared machine is a contended
     resource.
     """
-    from repro.core.sync import SlotSchedule
-
     config = coffee_lake_i7_9700k()
-    symbols = None
+    symbols = bytes_to_symbols(payload)
 
     def run_pairs(offset_fraction: float) -> Tuple[float, float]:
-        nonlocal symbols
         system = System(config, seed=seed)
-        pair_a = IccCoresCovert(system, sender_core=0, receiver_core=1)
-        pair_b = IccCoresCovert(system, sender_core=4, receiver_core=5)
+        pairs = (IccCoresCovert(system, sender_core=0, receiver_core=1),
+                 IccCoresCovert(system, sender_core=4, receiver_core=5))
         # Calibrate sequentially (each alone on the machine).
-        pair_a.calibrate()
-        pair_b.calibrate()
-        symbols = bytes_to_symbols_cached(payload)
-        slot = max(pair_a.slot_ns, pair_b.slot_ns)
+        for pair in pairs:
+            pair.calibrate()
+        slot = max(pair.slot_ns for pair in pairs)
         epoch = system.now + slot
-        schedule_a = SlotSchedule(epoch, slot)
-        schedule_b = SlotSchedule(epoch + offset_fraction * slot, slot)
-        meas_a: List[Optional[float]] = [None] * len(symbols)
-        meas_b: List[Optional[float]] = [None] * len(symbols)
-        pair_a._spawn_transaction_programs(schedule_a, symbols, meas_a)
-        pair_b._spawn_transaction_programs(schedule_b, symbols, meas_b)
-        system.run_until(schedule_b.slot_start(len(symbols)) + slot)
-        def ber(channel, readings):
-            decoded = channel.calibrator.decode_all(
-                [float(m) for m in readings])
+        parties = [pair.party(SlotSchedule(epoch + offset * slot, slot), symbols)
+                   for pair, offset in zip(pairs, (0.0, offset_fraction))]
+        readings = run_slots(system, parties, slot)
+
+        def ber(channel: CovertChannel, values: List[float]) -> float:
+            decoded = channel.calibrator.decode_all(values)
             wrong = sum(bin((a ^ b) & 0b11).count("1")
                         for a, b in zip(symbols, decoded))
             return wrong / (2 * len(symbols))
-        return ber(pair_a, meas_a), ber(pair_b, meas_b)
-
-    def bytes_to_symbols_cached(data: bytes) -> List[int]:
-        from repro.core.encoding import bytes_to_symbols
-
-        return bytes_to_symbols(data)
+        return ber(pairs[0], readings[0]), ber(pairs[1], readings[1])
 
     solo_system = System(config, seed=seed)
     solo = IccCoresCovert(solo_system, sender_core=0, receiver_core=1)

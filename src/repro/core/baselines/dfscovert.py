@@ -16,18 +16,19 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence
 
-from repro.core.baselines.base import BaselineReport
-from repro.core.calibration import Calibrator
+from repro.core.baselines.base import BaselineChannel
 from repro.core.sync import SlotSchedule
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ConfigError
 from repro.isa.instructions import IClass
 from repro.isa.workload import Loop
 from repro.soc.system import System
 from repro.units import ms_to_ns
 
 
-class DFSCovert:
+class DFSCovert(BaselineChannel):
     """Cross-core channel over governor frequency writes."""
+
+    report_name = "DFScovert"
 
     def __init__(self, system: System, receiver_core: int = 1,
                  bit_period_ms: float = 50.0, governor_latency_ms: float = 10.0,
@@ -35,16 +36,13 @@ class DFSCovert:
                  min_gap_tsc: float = 200.0) -> None:
         if system.config.n_cores < 2:
             raise ConfigError("DFScovert needs at least two cores")
-        self.system = system
+        super().__init__(system, ms_to_ns(bit_period_ms), training_rounds,
+                         min_gap_tsc)
         self.receiver_thread = system.thread_on(receiver_core, 0)
-        self.slot_ns = ms_to_ns(bit_period_ms)
         self.governor_latency_ns = ms_to_ns(governor_latency_ms)
         self.low_ghz = system.config.min_freq_ghz
         self.high_ghz = system.config.max_turbo_ghz
         self.probe_loop = Loop(IClass.SCALAR_64, probe_iterations)
-        self.training_rounds = training_rounds
-        self.min_gap_tsc = min_gap_tsc
-        self._calibrator: Optional[Calibrator] = None
 
     def _sender_program(self, schedule: SlotSchedule,
                         bits: Sequence[int]) -> Generator:
@@ -69,44 +67,12 @@ class DFSCovert:
             measurements[i] = float(result.elapsed_tsc)
         return None
 
-    def _run_bits(self, bits: Sequence[int]) -> List[float]:
-        if not bits:
-            raise ProtocolError("bit stream is empty")
-        if any(bit not in (0, 1) for bit in bits):
-            raise ProtocolError("bits must be 0 or 1")
-        schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
-        measurements: List[Optional[float]] = [None] * len(bits)
-        self.system.spawn(self._sender_program(schedule, list(bits)),
+    def _spawn_transaction_programs(self, schedule: SlotSchedule,
+                                    bits: Sequence[int],
+                                    measurements: List[Optional[float]]) -> None:
+        self.system.spawn(self._sender_program(schedule, bits),
                           name="dfscovert_sender")
         self.system.spawn(
             self._receiver_program(schedule, len(bits), measurements),
             name="dfscovert_receiver",
-        )
-        self.system.run_until(schedule.slot_start(len(bits)) + self.slot_ns)
-        if any(m is None for m in measurements):
-            raise ProtocolError("receiver missed some slots")
-        return [float(m) for m in measurements]
-
-    def calibrate(self) -> Calibrator:
-        """Train the low/high frequency decoder."""
-        training = [0, 1] * self.training_rounds
-        readings = self._run_bits(training)
-        self._calibrator = Calibrator(list(zip(training, readings)),
-                                      min_gap=self.min_gap_tsc)
-        return self._calibrator
-
-    def transfer_bits(self, bits: Sequence[int]) -> BaselineReport:
-        """Send a bit stream by toggling the requested frequency."""
-        if self._calibrator is None:
-            self.calibrate()
-        assert self._calibrator is not None
-        start = self.system.now
-        readings = self._run_bits(bits)
-        decoded = self._calibrator.decode_all(readings)
-        return BaselineReport(
-            name="DFScovert",
-            bits_sent=list(bits),
-            bits_received=decoded,
-            start_ns=start,
-            end_ns=self.system.now,
         )

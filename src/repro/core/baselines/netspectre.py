@@ -20,30 +20,27 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence
 
-from repro.core.baselines.base import BaselineReport
-from repro.core.calibration import Calibrator
+from repro.core.baselines.base import BaselineChannel
 from repro.core.sync import SlotSchedule
-from repro.errors import ProtocolError
 from repro.isa.instructions import IClass
 from repro.isa.workload import Loop
 from repro.soc.system import System
 from repro.units import us_to_ns
 
 
-class NetSpectreGadget:
+class NetSpectreGadget(BaselineChannel):
     """Same-thread, single-level (1 bit/transaction) covert channel."""
+
+    report_name = "NetSpectre"
 
     def __init__(self, system: System, core: int = 0, slot_us: float = 750.0,
                  send_iterations: int = 30, probe_iterations: int = 40,
                  training_rounds: int = 4, min_gap_tsc: float = 200.0) -> None:
-        self.system = system
+        super().__init__(system, us_to_ns(slot_us), training_rounds,
+                         min_gap_tsc)
         self.thread_id = system.thread_on(core, 0)
-        self.slot_ns = us_to_ns(slot_us)
         self.send_loop = Loop(IClass.HEAVY_256, send_iterations)
         self.probe_loop = Loop(IClass.HEAVY_256, probe_iterations)
-        self.training_rounds = training_rounds
-        self.min_gap_tsc = min_gap_tsc
-        self._calibrator: Optional[Calibrator] = None
 
     def _program(self, schedule: SlotSchedule, bits: Sequence[int],
                  measurements: List[Optional[float]]) -> Generator:
@@ -57,40 +54,8 @@ class NetSpectreGadget:
             measurements[i] = float(result.elapsed_tsc)
         return None
 
-    def _run_bits(self, bits: Sequence[int]) -> List[float]:
-        if not bits:
-            raise ProtocolError("bit stream is empty")
-        if any(bit not in (0, 1) for bit in bits):
-            raise ProtocolError("bits must be 0 or 1")
-        schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
-        measurements: List[Optional[float]] = [None] * len(bits)
-        self.system.spawn(self._program(schedule, list(bits), measurements),
+    def _spawn_transaction_programs(self, schedule: SlotSchedule,
+                                    bits: Sequence[int],
+                                    measurements: List[Optional[float]]) -> None:
+        self.system.spawn(self._program(schedule, bits, measurements),
                           name="netspectre_gadget")
-        self.system.run_until(schedule.slot_start(len(bits)) + self.slot_ns)
-        if any(m is None for m in measurements):
-            raise ProtocolError("gadget produced no measurement for some slots")
-        return [float(m) for m in measurements]
-
-    def calibrate(self) -> Calibrator:
-        """Train the two-level (throttled / not throttled) decoder."""
-        training = [0, 1] * self.training_rounds
-        readings = self._run_bits(training)
-        self._calibrator = Calibrator(list(zip(training, readings)),
-                                      min_gap=self.min_gap_tsc)
-        return self._calibrator
-
-    def transfer_bits(self, bits: Sequence[int]) -> BaselineReport:
-        """Send a bit stream through the gadget."""
-        if self._calibrator is None:
-            self.calibrate()
-        assert self._calibrator is not None
-        start = self.system.now
-        readings = self._run_bits(bits)
-        decoded = self._calibrator.decode_all(readings)
-        return BaselineReport(
-            name="NetSpectre",
-            bits_sent=list(bits),
-            bits_received=decoded,
-            start_ns=start,
-            end_ns=self.system.now,
-        )

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence
 
-from repro.core.baselines.base import BaselineReport
-from repro.core.calibration import Calibrator
+from repro.core.baselines.base import BaselineChannel
 from repro.core.sync import SlotSchedule
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ConfigError
 from repro.isa.instructions import IClass
 from repro.isa.workload import Loop
 from repro.soc.system import System
@@ -66,8 +65,10 @@ class PowerBudgetController:
         return None
 
 
-class PowerT:
+class PowerT(BaselineChannel):
     """Cross-core channel over power-limit frequency throttling."""
+
+    report_name = "POWERT"
 
     def __init__(self, system: System, sender_core: int = 0,
                  receiver_core: int = 1, bit_period_ms: float = 8.2,
@@ -77,15 +78,12 @@ class PowerT:
             raise ConfigError("POWERT needs at least two cores")
         if sender_core == receiver_core:
             raise ConfigError("sender and receiver must use different cores")
-        self.system = system
+        super().__init__(system, ms_to_ns(bit_period_ms), training_rounds,
+                         min_gap_tsc)
         self.sender_thread = system.thread_on(sender_core, 0)
         self.receiver_thread = system.thread_on(receiver_core, 0)
-        self.slot_ns = ms_to_ns(bit_period_ms)
         self.controller = PowerBudgetController(system, pl1_watts)
         self.probe_loop = Loop(IClass.SCALAR_64, probe_iterations)
-        self.training_rounds = training_rounds
-        self.min_gap_tsc = min_gap_tsc
-        self._calibrator: Optional[Calibrator] = None
         self._controller_running_until = 0.0
         burst_us = 300.0
         self.burn_loop = Loop(
@@ -122,46 +120,13 @@ class PowerT:
             measurements[i] = float(result.elapsed_tsc)
         return None
 
-    def _run_bits(self, bits: Sequence[int]) -> List[float]:
-        if not bits:
-            raise ProtocolError("bit stream is empty")
-        if any(bit not in (0, 1) for bit in bits):
-            raise ProtocolError("bits must be 0 or 1")
-        schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
-        end = schedule.slot_start(len(bits)) + self.slot_ns
-        self._ensure_controller(end)
-        measurements: List[Optional[float]] = [None] * len(bits)
-        self.system.spawn(self._sender_program(schedule, list(bits)),
+    def _spawn_transaction_programs(self, schedule: SlotSchedule,
+                                    bits: Sequence[int],
+                                    measurements: List[Optional[float]]) -> None:
+        self._ensure_controller(schedule.slot_start(len(bits)) + self.slot_ns)
+        self.system.spawn(self._sender_program(schedule, bits),
                           name="powert_sender")
         self.system.spawn(
             self._receiver_program(schedule, len(bits), measurements),
             name="powert_receiver",
-        )
-        self.system.run_until(end)
-        if any(m is None for m in measurements):
-            raise ProtocolError("receiver missed some slots")
-        return [float(m) for m in measurements]
-
-    def calibrate(self) -> Calibrator:
-        """Train the budget-throttled/unthrottled decoder."""
-        training = [0, 1] * self.training_rounds
-        readings = self._run_bits(training)
-        self._calibrator = Calibrator(list(zip(training, readings)),
-                                      min_gap=self.min_gap_tsc)
-        return self._calibrator
-
-    def transfer_bits(self, bits: Sequence[int]) -> BaselineReport:
-        """Send a bit stream by modulating the package power budget."""
-        if self._calibrator is None:
-            self.calibrate()
-        assert self._calibrator is not None
-        start = self.system.now
-        readings = self._run_bits(bits)
-        decoded = self._calibrator.decode_all(readings)
-        return BaselineReport(
-            name="POWERT",
-            bits_sent=list(bits),
-            bits_received=decoded,
-            start_ns=start,
-            end_ns=self.system.now,
         )

@@ -11,11 +11,12 @@ paper's pairwise channels that follows directly from its observations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.core.calibration import Calibrator
-from repro.core.channel import ChannelConfig
+from repro.core.channel import ChannelConfig, run_slots
 from repro.core.encoding import bytes_to_symbols, symbols_to_bytes
 from repro.core.levels import (
     ChannelLocation,
@@ -117,6 +118,19 @@ class IccBroadcast:
             measurements[i] = float(result.elapsed_tsc)
         return None
 
+    def _spawn_receiver(self, location: ChannelLocation,
+                        schedule: SlotSchedule, symbols: Sequence[int],
+                        measurements: List[Optional[float]]) -> None:
+        """Spawn ``location``'s receiver; the sender rides with the first."""
+        if location == self.LOCATIONS[0]:
+            self.system.spawn(self._sender_program(schedule, symbols),
+                              name="broadcast_sender")
+        self.system.spawn(
+            self._receiver_program(location, schedule, len(symbols),
+                                   measurements),
+            name=f"broadcast_rx_{location.value}",
+        )
+
     # -- transfer machinery --------------------------------------------------------
 
     @property
@@ -126,29 +140,12 @@ class IccBroadcast:
 
     def _run(self, symbols: Sequence[int]
              ) -> Dict[ChannelLocation, List[float]]:
-        if not symbols:
-            raise ProtocolError("symbol stream is empty")
         schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
-        measurements: Dict[ChannelLocation, List[Optional[float]]] = {
-            location: [None] * len(symbols) for location in self.LOCATIONS
-        }
-        self.system.spawn(self._sender_program(schedule, list(symbols)),
-                          name="broadcast_sender")
-        for location in self.LOCATIONS:
-            self.system.spawn(
-                self._receiver_program(location, schedule, len(symbols),
-                                       measurements[location]),
-                name=f"broadcast_rx_{location.value}",
-            )
-        self.system.run_until(schedule.slot_start(len(symbols)) + self.slot_ns)
-        out: Dict[ChannelLocation, List[float]] = {}
-        for location, values in measurements.items():
-            if any(v is None for v in values):
-                raise ProtocolError(
-                    f"{location.value} receiver missed some slots"
-                )
-            out[location] = [float(v) for v in values]
-        return out
+        parties = [(schedule, symbols,
+                    functools.partial(self._spawn_receiver, location))
+                   for location in self.LOCATIONS]
+        readings = run_slots(self.system, parties, self.slot_ns)
+        return dict(zip(self.LOCATIONS, readings))
 
     def calibrate(self) -> Dict[ChannelLocation, Calibrator]:
         """Fit per-receiver decoders from shared training transactions."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.calibration import Calibrator
-from repro.core.channel import ChannelConfig
+from repro.core.channel import ChannelConfig, run_slots
 from repro.core.encoding import bytes_to_symbols, symbols_to_bytes
 from repro.core.levels import narrow_symbol_classes
 from repro.core.sync import SlotSchedule
@@ -188,22 +188,22 @@ class IccSMTBurst:
                                float(second.elapsed_tsc))
         return None
 
-    def _run_slots(self, slots: Sequence[Tuple[int, Optional[int]]]
-                   ) -> List[Tuple[float, float]]:
-        if not slots:
-            raise ProtocolError("no slots to transmit")
-        schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
-        measurements: List[Optional[Tuple[float, float]]] = [None] * len(slots)
-        self.system.spawn(self._sender_program(schedule, list(slots)),
+    def _spawn_transaction_programs(
+            self, schedule: SlotSchedule,
+            slots: Sequence[Tuple[int, Optional[int]]],
+            measurements: List[Optional[Tuple[float, float]]]) -> None:
+        self.system.spawn(self._sender_program(schedule, slots),
                           name="burst_sender")
         self.system.spawn(
             self._receiver_program(schedule, len(slots), measurements),
             name="burst_receiver",
         )
-        self.system.run_until(schedule.slot_start(len(slots)) + self.slot_ns)
-        if any(m is None for m in measurements):
-            raise ProtocolError("receiver missed some slots")
-        return [m for m in measurements if m is not None]
+
+    def _run_slots(self, slots: Sequence[Tuple[int, Optional[int]]]
+                   ) -> List[Tuple[float, float]]:
+        schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
+        party = (schedule, slots, self._spawn_transaction_programs)
+        return run_slots(self.system, [party], self.slot_ns)[0]
 
     # -- calibration ---------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Base machinery shared by the three IChannels covert channels.
+"""The slot loop every channel runs, and the three IChannels on top of it.
 
 A transfer proceeds in fixed wall-clock slots (Section 4.3.3).  In each
 slot the sender executes a PHI loop whose computational-intensity level
@@ -7,15 +7,23 @@ encodes two secret bits, and the receiver measures a probe loop with
 slots both sides stay quiet so the 650 us hysteresis (reset-time,
 Section 4.1.2) returns the rail to baseline.
 
-Subclasses provide the per-location sender/receiver programs; everything
-else — framing, calibration, decoding, reporting — lives here.
+:func:`run_slots` is the one slot loop in the package.  Every channel
+(the three IChannels, the five-level, broadcast and burst extensions,
+the side-channel spy, the four baselines and the multi-tenant scenario
+runner) hands it ``(schedule, stream, spawn)`` parties and gets one
+reading per slot back; a channel supplies only its programs, through
+a spawn hook (``_spawn_transaction_programs``; the broadcast channel
+has one per receiver), and its decoder.
+:class:`CovertChannel` adds the paper channels' framing, calibration,
+decoding and reporting, so its subclasses provide only the
+per-location sender/receiver programs.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Sequence
+from typing import Any, Callable, ClassVar, List, Optional, Sequence, Tuple
 
 from repro.core.calibration import Calibrator
 from repro.core.encoding import (
@@ -41,6 +49,80 @@ from repro.isa.instructions import IClass
 from repro.isa.workload import Loop
 from repro.soc.system import System
 from repro.units import bits_per_second, ns_to_us, us_to_ns
+
+
+#: One party of :func:`run_slots`: its schedule, the stream it sends one
+#: item per slot, and its spawn hook, called as ``spawn(schedule, stream,
+#: measurements)``, whose programs store slot ``i``'s reading in
+#: ``measurements[i]``.
+SlotParty = Tuple[SlotSchedule, Sequence[Any],
+                  Callable[[SlotSchedule, List[Any], List[Any]], None]]
+
+
+def run_slots(system: System, parties: Sequence[SlotParty], tail_ns: float,
+              strict: bool = True, trace: bool = False) -> List[List[Any]]:
+    """Run every party's slotted transaction on ``system``.
+
+    Allocates one reading per slot for each party, calls the parties'
+    spawn hooks in order, and runs the system to ``tail_ns`` past the
+    start of the latest slot after any party's stream, plus the slack
+    scheduling faults need (0.0 without an injector).  Returns each
+    party's readings.  A slot without a reading raises
+    :class:`ProtocolError` naming the slots; with ``strict`` False it
+    stays ``None`` instead (multi-tenant runs score it as errored).
+    ``trace`` records one span per slot, labelled by its stream item.
+    """
+    if any(not stream for _, stream, _ in parties):
+        raise ProtocolError("slot stream is empty")
+    readings: List[List[Any]] = []
+    for schedule, stream, spawn in parties:
+        measurements: List[Any] = [None] * len(stream)
+        spawn(schedule, list(stream), measurements)
+        readings.append(measurements)
+    faults = getattr(system, "faults", None)
+    slack = 0.0 if faults is None else faults.extra_slot_slack_ns()
+    end = max(schedule.slot_start(len(stream))
+              for schedule, stream, _ in parties)
+    system.run_until(end + tail_ns + slack)
+    for k, ((schedule, stream, _), measurements) in enumerate(
+            zip(parties, readings)):
+        missing = [i for i, m in enumerate(measurements) if m is None]
+        if trace:
+            _trace_slots(schedule, stream, measurements, missing, tail_ns)
+        if missing and strict:
+            who = "receiver" if len(parties) == 1 else f"receiver {k}"
+            raise ProtocolError(
+                f"{who} produced no measurement for slots {missing}; "
+                f"slot length {ns_to_us(schedule.slot_ns):.2f} us may be too short"
+            )
+    return readings
+
+
+def _trace_slots(schedule: SlotSchedule, stream: Sequence[Any],
+                 measurements: List[Any], missing: List[int],
+                 slot_ns: float) -> None:
+    """Record one ``channel.slots`` span per slot and any missed slots."""
+    tracer = _obs()
+    if not tracer.enabled:
+        return
+    readings = tracer.metrics.histogram("channel.slot_measurement_tsc")
+    for i, symbol in enumerate(stream):
+        args = {"slot": i, "symbol": symbol}
+        if measurements[i] is not None:
+            args["tsc"] = float(measurements[i])
+            readings.observe(float(measurements[i]))
+        tracer.complete(f"slot s{symbol}", "channel",
+                        schedule.slot_start(i), slot_ns,
+                        track="channel.slots", args=args)
+    if missing:
+        tracer.metrics.counter(
+            "channel.missing_measurements").inc(len(missing))
+        for i in missing:
+            tracer.instant(
+                "channel.missing_measurement", "channel",
+                schedule.slot_start(i), track="channel.slots",
+                args={"slot": i, "symbol": stream[i]},
+            )
 
 
 @dataclass(frozen=True)
@@ -369,13 +451,6 @@ class CovertChannel(abc.ABC):
             return schedule
         return faults.perturb_schedule(schedule, party)
 
-    def _fault_slack_ns(self) -> float:
-        """Extra run time scheduling faults may push the last probe by."""
-        faults = getattr(self.system, "faults", None)
-        if faults is None:
-            return 0.0
-        return faults.extra_slot_slack_ns()
-
     def _fresh_schedule(self) -> SlotSchedule:
         """A slot schedule starting one quiet slot from now.
 
@@ -392,43 +467,15 @@ class CovertChannel(abc.ABC):
                                     seed=self.config.jitter_seed)
         return SlotSchedule(epoch_ns=epoch, slot_ns=slot)
 
+    def party(self, schedule: SlotSchedule,
+              symbols: Sequence[int]) -> SlotParty:
+        """This channel sending ``symbols`` on ``schedule``, for :func:`run_slots`."""
+        return schedule, symbols, self._spawn_transaction_programs
+
     def run_symbols(self, symbols: Sequence[int]) -> List[float]:
         """Transmit a raw symbol stream; returns per-slot probe readings."""
-        if not symbols:
-            raise ProtocolError("symbol stream is empty")
-        schedule = self._fresh_schedule()
-        measurements: List[Optional[float]] = [None] * len(symbols)
-        self._spawn_transaction_programs(schedule, list(symbols), measurements)
-        end = (schedule.slot_start(len(symbols)) + self.slot_ns
-               + self._fault_slack_ns())
-        self.system.run_until(end)
-        missing = [i for i, m in enumerate(measurements) if m is None]
-        tracer = _obs()
-        if tracer.enabled:
-            readings = tracer.metrics.histogram("channel.slot_measurement_tsc")
-            for i, symbol in enumerate(symbols):
-                args = {"slot": i, "symbol": symbol}
-                if measurements[i] is not None:
-                    args["tsc"] = float(measurements[i])  # type: ignore[arg-type]
-                    readings.observe(float(measurements[i]))  # type: ignore[arg-type]
-                tracer.complete(f"slot s{symbol}", "channel",
-                                schedule.slot_start(i), self.slot_ns,
-                                track="channel.slots", args=args)
-            if missing:
-                tracer.metrics.counter(
-                    "channel.missing_measurements").inc(len(missing))
-                for i in missing:
-                    tracer.instant(
-                        "channel.missing_measurement", "channel",
-                        schedule.slot_start(i), track="channel.slots",
-                        args={"slot": i, "symbol": symbols[i]},
-                    )
-        if missing:
-            raise ProtocolError(
-                f"receiver produced no measurement for slots {missing}; "
-                f"slot length {ns_to_us(schedule.slot_ns):.2f} us may be too short"
-            )
-        return [float(m) for m in measurements]
+        party = self.party(self._fresh_schedule(), symbols)
+        return run_slots(self.system, [party], self.slot_ns, trace=True)[0]
 
     # -- calibration -------------------------------------------------------------
 

@@ -16,10 +16,10 @@ from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.core.base5 import bytes_to_digits, digits_for_bytes, digits_to_bytes
 from repro.core.calibration import Calibrator
-from repro.core.channel import ChannelConfig
+from repro.core.channel import ChannelConfig, run_slots
 from repro.core.levels import narrow_symbol_classes
 from repro.core.sync import SlotSchedule
-from repro.errors import ConfigError, ProtocolError
+from repro.errors import ProtocolError
 from repro.isa.instructions import IClass
 from repro.isa.workload import Loop
 from repro.soc.system import System
@@ -120,17 +120,16 @@ class FiveLevelThreadChannel:
             measurements[i] = float(result.elapsed_tsc)
         return None
 
-    def _run_digits(self, digits: Sequence[int]) -> List[float]:
-        if not digits:
-            raise ProtocolError("digit stream is empty")
-        schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
-        measurements: List[Optional[float]] = [None] * len(digits)
-        self.system.spawn(self._program(schedule, list(digits), measurements),
+    def _spawn_transaction_programs(self, schedule: SlotSchedule,
+                                    digits: Sequence[int],
+                                    measurements: List[Optional[float]]) -> None:
+        self.system.spawn(self._program(schedule, digits, measurements),
                           name="five_level_channel")
-        self.system.run_until(schedule.slot_start(len(digits)) + self.slot_ns)
-        if any(m is None for m in measurements):
-            raise ProtocolError("receiver missed some slots")
-        return [float(m) for m in measurements]
+
+    def _run_digits(self, digits: Sequence[int]) -> List[float]:
+        schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
+        party = (schedule, digits, self._spawn_transaction_programs)
+        return run_slots(self.system, [party], self.slot_ns)[0]
 
     def calibrate(self) -> Calibrator:
         """Train all five clusters (including the quiet symbol)."""

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence
 
 from repro.core.calibration import Calibrator
+from repro.core.channel import run_slots
 from repro.core.levels import ChannelLocation, probe_class_for
 from repro.core.sync import SlotSchedule
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.isa.instructions import IClass
 from repro.isa.workload import Loop
 from repro.soc.system import System
@@ -147,17 +148,18 @@ class InstructionClassSpy:
             measurements[i] = float(result.elapsed_tsc)
         return None
 
-    def _observe(self, classes: Sequence[IClass]) -> List[float]:
-        schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
-        measurements: List[Optional[float]] = [None] * len(classes)
+    def _spawn_transaction_programs(self, schedule: SlotSchedule,
+                                    classes: Sequence[IClass],
+                                    measurements: List[Optional[float]]) -> None:
         self.system.spawn(self._victim_program(schedule, classes), name="victim")
         self.system.spawn(
             self._spy_program(schedule, len(classes), measurements), name="spy",
         )
-        self.system.run_until(schedule.slot_start(len(classes)) + self.slot_ns)
-        if any(m is None for m in measurements):
-            raise ConfigError("spy produced no measurement for some slots")
-        return [float(m) for m in measurements]
+
+    def _observe(self, classes: Sequence[IClass]) -> List[float]:
+        schedule = SlotSchedule(self.system.now + self.slot_ns, self.slot_ns)
+        party = (schedule, classes, self._spawn_transaction_programs)
+        return run_slots(self.system, [party], self.slot_ns)[0]
 
     def calibrate(self, rounds: int = 3) -> Calibrator:
         """Learn the per-class signatures by observing known victims."""
@@ -172,6 +174,8 @@ class InstructionClassSpy:
 
     def spy(self, victim_classes: Sequence[IClass]) -> SpyReport:
         """Observe a victim running the given class sequence."""
+        if not victim_classes:
+            raise ProtocolError("victim class sequence is empty")
         if self._calibrator is None:
             self.calibrate()
         assert self._calibrator is not None

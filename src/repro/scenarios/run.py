@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import IccCoresCovert, IccSMTcovert, IccThreadCovert
 from repro.core.capacity import symbol_channel_capacity_bps
-from repro.core.channel import CovertChannel
+from repro.core.channel import CovertChannel, run_slots
 from repro.core.encoding import bytes_to_symbols
 from repro.core.sync import SlotSchedule
 from repro.errors import CalibrationError, ProtocolError
@@ -186,35 +186,26 @@ def run_scenario(spec: Union[ScenarioSpec, str]) -> ScenarioRun:
     results: List[TenantResult] = []
     transfer_start_ns = system.now
     slot_ns = 0.0
-    schedules: List[Optional[SlotSchedule]] = []
-    readings: List[Optional[List[Optional[float]]]] = []
+    readings: List[List[Optional[float]]] = []
     if feasible:
         slot_ns = max(c.slot_ns for c in feasible)
-        epoch_ns = system.now + slot_ns
-        for tenant, channel in zip(spec.tenants, channels):
-            if channel is None:
-                schedules.append(None)
-                readings.append(None)
-                continue
-            schedule = SlotSchedule(
-                epoch_ns + tenant.offset_fraction * slot_ns, slot_ns)
-            measurements: List[Optional[float]] = [None] * len(symbols)
-            channel._spawn_transaction_programs(schedule, list(symbols),
-                                                measurements)
-            schedules.append(schedule)
-            readings.append(measurements)
-        end_ns = max(s.slot_start(len(symbols))
-                     for s in schedules if s is not None)
-        end_ns += slot_ns + max(c._fault_slack_ns() for c in feasible)
-        transfer_start_ns = epoch_ns
-        system.run_until(end_ns)
+        transfer_start_ns = system.now + slot_ns
+        parties = [
+            channel.party(SlotSchedule(
+                transfer_start_ns + tenant.offset_fraction * slot_ns,
+                slot_ns), symbols)
+            for tenant, channel in zip(spec.tenants, channels)
+            if channel is not None
+        ]
+        readings = run_slots(system, parties, slot_ns, strict=False)
+    tenant_readings = iter(readings)
 
     for index, (tenant, channel) in enumerate(zip(spec.tenants, channels)):
         if channel is None:
             results.append(_infeasible(index, tenant, len(symbols)))
             continue
-        measurements = readings[index]
-        assert measurements is not None and channel.calibrator is not None
+        measurements = next(tenant_readings)
+        assert channel.calibrator is not None
         decoded = channel.calibrator.decode_all(
             [0.0 if m is None else float(m) for m in measurements])
         received: List[int] = []

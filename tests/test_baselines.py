@@ -36,14 +36,16 @@ class TestNetSpectre:
         assert ratio == pytest.approx(2.0, rel=0.25)
 
     def test_rejects_non_bits(self):
-        gadget = NetSpectreGadget(System(cannon_lake_i3_8121u()))
+        system = System(cannon_lake_i3_8121u())
         with pytest.raises(ProtocolError):
-            gadget.transfer_bits([2])
+            NetSpectreGadget(system).transfer_bits([2])
+        assert system.now == 0.0  # rejected before calibrating
 
     def test_rejects_empty(self):
-        gadget = NetSpectreGadget(System(cannon_lake_i3_8121u()))
+        system = System(cannon_lake_i3_8121u())
         with pytest.raises(ProtocolError):
-            gadget.transfer_bits([])
+            NetSpectreGadget(system).transfer_bits([])
+        assert system.now == 0.0
 
 
 class TestTurboCC:

@@ -4,7 +4,14 @@ import pytest
 
 from repro import System
 from repro.errors import ProtocolError
-from repro.core import ChannelConfig, IccCoresCovert, IccSMTcovert, IccThreadCovert
+from repro.core import (
+    ChannelConfig,
+    FiveLevelThreadChannel,
+    IccCoresCovert,
+    IccSMTcovert,
+    IccThreadCovert,
+)
+from repro.core.baselines import NetSpectreGadget
 from repro.soc.config import (
     cannon_lake_i3_8121u,
     sandy_bridge_i7_2600k,
@@ -81,6 +88,13 @@ class TestProbeOutlastsTheWorstTP:
         assert throttled_wall >= worst_tp
 
 
+def _smt(jitter_us):
+    channel = IccSMTcovert(System(cannon_lake_i3_8121u()),
+                           ChannelConfig(slot_jitter_us=jitter_us))
+    assert channel.config.slot_us == 750.0
+    return channel
+
+
 class TestSlotSizing:
     def test_slot_covers_reset_plus_send_window(self):
         system = System(cannon_lake_i3_8121u())
@@ -102,19 +116,30 @@ class TestSlotSizing:
         fast_slot = IccThreadCovert(System(fast)).slot_ns
         assert slow_slot > fast_slot
 
-    @pytest.mark.parametrize("jitter_us, slot_us", [(0.0, 795.47), (40.0, 835.47)])
+    @pytest.mark.parametrize("make, run, slot_us", [
+        pytest.param(lambda: _smt(0.0), lambda c: c.run_symbols([0, 3]),
+                     795.47, id="0.0-795.47"),
+        pytest.param(lambda: _smt(40.0), lambda c: c.run_symbols([0, 3]),
+                     835.47, id="40.0-835.47"),
+        pytest.param(lambda: NetSpectreGadget(
+            System(cannon_lake_i3_8121u()), slot_us=800.0, training_rounds=1),
+            lambda c: c.transfer_bits([1, 0]), 800.0, id="netspectre"),
+        pytest.param(lambda: FiveLevelThreadChannel(
+            System(cannon_lake_i3_8121u()), ChannelConfig(slot_us=900.0)),
+            lambda c: c._run_digits([0, 4]), 900.0, id="five_level"),
+    ])
     def test_missing_measurement_reports_the_slot_actually_used(
-            self, monkeypatch, jitter_us, slot_us):
+            self, monkeypatch, make, run, slot_us):
         # The adaptive slot (plus any jitter) outgrows the configured
-        # 750 us; the error must name the slot the schedule ran.
-        channel = IccSMTcovert(System(cannon_lake_i3_8121u()),
-                               ChannelConfig(slot_jitter_us=jitter_us))
-        assert channel.config.slot_us == 750.0
+        # 750 us; every channel's error must name the missed slots and
+        # the slot the schedule ran.
+        channel = make()
         monkeypatch.setattr(channel, "_spawn_transaction_programs",
                             lambda *args: None)
-        with pytest.raises(ProtocolError,
-                           match=rf"slot length {slot_us:.2f} us may be too short"):
-            channel.run_symbols([0, 3])
+        with pytest.raises(ProtocolError, match=(
+                rf"no measurement for slots \[0, 1\]; "
+                rf"slot length {slot_us:.2f} us may be too short")):
+            run(channel)
 
     def test_slow_slew_channel_still_works_end_to_end(self):
         # The whole point of adaptive sizing: no retuning needed.

@@ -4,7 +4,7 @@ import pytest
 
 from repro import IClass, System
 from repro.core import ChannelLocation, IccThreadCovert, InstructionClassSpy
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.soc.config import cannon_lake_i3_8121u, coffee_lake_i7_9700k
 from repro.soc.noise import (
     NoiseConfig,
@@ -108,6 +108,26 @@ class TestInstructionClassSpy:
         victim = [IClass.HEAVY_128, IClass.HEAVY_512, IClass.HEAVY_256]
         report = spy.spy(victim)
         assert report.accuracy >= 2 / 3
+
+    def test_missed_slot_is_a_protocol_error_naming_it(self, monkeypatch):
+        spy = InstructionClassSpy(System(cannon_lake_i3_8121u()),
+                                  ChannelLocation.ACROSS_SMT)
+        program = spy._spy_program
+
+        def skip_last_slot(schedule, n_slots, measurements):
+            return program(schedule, n_slots - 1, measurements)
+
+        monkeypatch.setattr(spy, "_spy_program", skip_last_slot)
+        last = len(spy._observable_classes()) - 1
+        with pytest.raises(ProtocolError, match=rf"slots \[{last}\]"):
+            spy.calibrate(rounds=1)
+
+    def test_empty_victim_sequence_rejected(self):
+        system = System(cannon_lake_i3_8121u())
+        spy = InstructionClassSpy(system, ChannelLocation.ACROSS_SMT)
+        with pytest.raises(ProtocolError):
+            spy.spy([])
+        assert system.now == 0.0
 
     def test_same_thread_location_rejected(self):
         system = System(cannon_lake_i3_8121u())
